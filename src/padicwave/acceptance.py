@@ -48,6 +48,7 @@ from .solver import (
     kernel_closed_form,
     kernel_oracle,
     l1_bound_check,
+    solve_averaging,
     solve_convolution,
     solve_spectral,
     spectral_data,
@@ -375,30 +376,42 @@ def _duality_problems(seed: int = DEFAULT_SEED):
 
 
 def check_solver_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult:
-    """Spectral and convolution slices agree; t = 0 returns the data exactly."""
+    """The three solver routes agree; t = 0 returns the data exactly.
+
+    Averaging must equal the spectral route exactly on rational data, and
+    the convolution route to within tol.
+    """
     worst = 0.0
     slices = 0
     for prob in _duality_problems(seed):
         u0_hat = spectral_data(prob)
-        zero_slice = solve_convolution(prob, T_ZERO)
-        spectral_zero = solve_spectral(prob, T_ZERO, u0_hat)
-        if not (
-            equal_exact(zero_slice.field, prob.u0)
-            and equal_exact(spectral_zero.field, prob.u0)
-        ):
+        zero_slices = (
+            solve_averaging(prob, T_ZERO),
+            solve_spectral(prob, T_ZERO, u0_hat),
+            solve_convolution(prob, T_ZERO),
+        )
+        if not all(equal_exact(sl.field, prob.u0) for sl in zero_slices):
             return CheckResult(
                 "solver-duality", False, "t = 0 slice differs from the data"
             )
-        for L in auto_time_sweep(prob, u0_hat):
-            a = solve_spectral(prob, L, u0_hat)
-            b = solve_convolution(prob, L)
-            worst = max(worst, max_abs_diff(a.field, b.field))
+        exact = prob.u0.is_exact()
+        for L in auto_time_sweep(prob):
+            a = solve_averaging(prob, L).field
+            s = solve_spectral(prob, L, u0_hat).field
+            if exact and not equal_exact(a, s):
+                return CheckResult(
+                    "solver-duality", False,
+                    f"averaging and spectral slices differ at L={L} on rational data",
+                )
+            worst = max(worst, max_abs_diff(a, s))
+            worst = max(worst, max_abs_diff(a, solve_convolution(prob, L).field))
             slices += 1
     passed = worst <= tol
     return CheckResult(
         "solver-duality",
         passed,
-        f"{slices} slices on both routes, max gap {worst:.3e}; t=0 exact",
+        f"{slices} slices on three routes (averaging, spectral, convolution), "
+        f"averaging = spectral exactly on rational data, max gap {worst:.3e}; t=0 exact",
     )
 
 
@@ -485,9 +498,8 @@ def check_l1_bound(seed: int = DEFAULT_SEED) -> CheckResult:
     worst_ratio = 0.0
     slices = 0
     for prob in _duality_problems(seed):
-        u0_hat = spectral_data(prob)
-        for L in auto_time_sweep(prob, u0_hat):
-            rep = l1_bound_check(prob, L, solve_spectral(prob, L, u0_hat))
+        for L in auto_time_sweep(prob):
+            rep = l1_bound_check(prob, L, solve_averaging(prob, L))
             worst_ratio = max(worst_ratio, rep.ratio)
             if not rep.passed:
                 return CheckResult(
@@ -502,7 +514,7 @@ def check_l1_bound(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_uniqueness() -> CheckResult:
-    """Zero data stays zero along both solver routes."""
+    """Zero data stays zero along all three solver routes."""
     for p, n in ((2, 1), (3, 1), (2, 2)):
         ctx = PrimeContext(p)
         grid = enumerate_cosets(ctx, 1, 1, n)
@@ -513,7 +525,7 @@ def check_uniqueness() -> CheckResult:
             return CheckResult(
                 "uniqueness", False, f"zero data grew to {report.max_abs:.3e}"
             )
-    return CheckResult("uniqueness", True, "zero data stays exactly zero on both routes")
+    return CheckResult("uniqueness", True, "zero data stays exactly zero on all three routes")
 
 
 def check_refusal() -> CheckResult:

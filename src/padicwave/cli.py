@@ -37,7 +37,6 @@ from .functions import (
     CosetFunction,
     embed_radial,
     is_in_Phi,
-    l1_norm,
     load_coset_function,
 )
 from .padic import PrimeContext
@@ -49,8 +48,7 @@ from .solver import (
     kernel_closed_form,
     kernel_oracle,
     l1_bound_check,
-    solve_spectral,
-    spectral_data,
+    solve_averaging,
     time_profile,
 )
 from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
@@ -69,9 +67,29 @@ def _parse_number(text):
         return int(s)
     except ValueError:
         pass
-    if "/" in s:
-        return Fraction(s)
-    return float(s)
+    try:
+        return Fraction(s) if "/" in s else float(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{text!r} is not a number") from exc
+
+
+def _parsed(key: str, parse, raw):
+    """parse(raw), with a failure reported as a ConfigError naming the key."""
+    try:
+        return parse(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: cannot read {raw!r}") from exc
+
+
+def _list_of(kind):
+    """A parser for a JSON list whose items all convert with kind."""
+
+    def parse(raw) -> list:
+        if not isinstance(raw, list):
+            raise TypeError(f"expected a list, got {raw!r}")
+        return [kind(item) for item in raw]
+
+    return parse
 
 
 def _fmt_float(x: float) -> str:
@@ -103,24 +121,34 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self.p = int(doc.get("p", 2))
-        self.n = int(doc.get("n", 1))
+        self.p = _parsed("p", int, doc.get("p", 2))
+        self.n = _parsed("n", int, doc.get("n", 1))
         self.alpha = _parse_number(doc.get("alpha", 1))
         self.beta = _parse_number(doc["beta"]) if "beta" in doc else None
-        self.K = int(doc.get("K", 1))
+        self.K = _parsed("K", int, doc.get("K", 1))
         self.u0_spec = str(doc.get("u0_spec", "sphere-indicator 1"))
         self.sweep = doc.get("sweep", "auto")
         if self.sweep != "auto":
-            self.sweep = [int(L) for L in self.sweep]
+            self.sweep = _parsed("sweep", _list_of(int), self.sweep)
         self.output = str(doc.get("output", "padicwave-out"))
         tols = doc.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("tolerances must be an object")
-        self.tol_duality = float(tols.get("duality", 1e-9))
-        self.tol_eigen = float(tols.get("eigen", 1e-10))
-        self.tol_dependence = float(tols.get("dependence", 1e-12))
-        self.profile_points = [str(s) for s in doc.get("profile_points", [])]
-        self.seed = int(doc.get("seed", 20260819))
+        self.tol_duality = _parsed("tolerances.duality", float, tols.get("duality", 1e-9))
+        self.tol_eigen = _parsed("tolerances.eigen", float, tols.get("eigen", 1e-10))
+        self.tol_dependence = _parsed(
+            "tolerances.dependence", float, tols.get("dependence", 1e-12)
+        )
+        self.profile_points = _parsed(
+            "profile_points", _list_of(str), doc.get("profile_points", [])
+        )
+        self.seed = _parsed("seed", int, doc.get("seed", 20260819))
+        _check_dimension(self.n)
+
+
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"the dimension n must be at least 1, got {n}")
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -140,6 +168,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "p", None) is not None:
         cfg.p = args.p
     if getattr(args, "n", None) is not None:
+        _check_dimension(args.n)
         cfg.n = args.n
     if getattr(args, "alpha", None) is not None:
         cfg.alpha = _parse_number(args.alpha)
@@ -149,7 +178,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.sweep = (
             "auto"
             if args.sweep == "auto"
-            else [int(s) for s in args.sweep.split(",") if s.strip()]
+            else _parsed("--sweep", _list_of(int), [s for s in args.sweep.split(",") if s.strip()])
         )
     if getattr(args, "out", None) is not None:
         cfg.output = args.out
@@ -175,13 +204,13 @@ def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
     if parts and parts[0] == "sphere-indicator":
         if len(parts) != 2:
             raise ConfigError("usage: u0_spec = 'sphere-indicator N'")
-        N = int(parts[1])
+        N = _parsed("u0_spec", int, parts[1])
         r = eigenfunction(N, Fraction(1), 1, ctx, cfg.n)
         return embed_radial(r, -N + 2, N + 1, cfg.n)
     if parts and parts[0] == "eigen":
         if len(parts) != 3:
             raise ConfigError("usage: u0_spec = 'eigen N C'")
-        N = int(parts[1])
+        N = _parsed("u0_spec", int, parts[1])
         C = _parse_number(parts[2])
         C = Fraction(C) if isinstance(C, int) else C
         r = eigenfunction(N, C, cfg.K, ctx, cfg.n)
@@ -231,15 +260,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
 
-    u0_hat = spectral_data(prob)
-    sweep = (
-        list(auto_time_sweep(prob, u0_hat)) if cfg.sweep == "auto" else list(cfg.sweep)
-    )
+    sweep = list(auto_time_sweep(prob)) if cfg.sweep == "auto" else list(cfg.sweep)
     _write_slice_csv(out / "u0.csv", prob.u0)
     l1_ratios = {}
     bound = None
     for L in sweep:
-        sl = solve_spectral(prob, L, u0_hat)
+        sl = solve_averaging(prob, L)
         _write_slice_csv(out / f"slice_L{L}.csv", sl.field)
         rep = l1_bound_check(prob, L, sl)
         l1_ratios[str(L)] = rep.ratio
@@ -262,7 +288,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "u0_spec": cfg.u0_spec,
         "sweep": sweep,
         "u0_in_zero_mean_class": is_in_Phi(prob.u0),
-        "u0_l1_norm": _fmt_float(float(l1_norm(prob.u0))),
+        "u0_l1_norm": _fmt_float(float(prob.u0_l1)),
         "l1_ratio_by_L": {k: _fmt_float(v) for k, v in sorted(l1_ratios.items())},
         "l1_bound": _fmt_float(bound) if bound is not None else None,
         "profiles": profiles,

@@ -13,8 +13,10 @@ single core value on the ball below the lowest shell (origin included).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConfigError, NonRadialError
 from .lattice import (
@@ -250,6 +252,96 @@ def equal_exact(f: CosetFunction, g: CosetFunction) -> bool:
     """Exact pointwise equality (requires exact tables)."""
     a, b = _common_grid(f, g)
     return all(values_equal(v, b.values[rep]) for rep, v in a.items())
+
+
+# -- coset averages ----------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _block_ids(p: int, n: int, width: int, shift: int) -> tuple[int, ...]:
+    """Block of each cell of an n-dim array, p**width cells a side, in row-major order.
+
+    Blocks are p**shift cells a side and numbered in row-major order too.
+    """
+    block = p**shift
+    one_d = [j // block for j in range(p**width)]
+    per_side = p ** (width - shift)
+    ids = [0]
+    for _ in range(n):
+        ids = [g * per_side + b for g in ids for b in one_d]
+    return tuple(ids)
+
+
+class CosetAverages:
+    """The averages A_r f of a table over the cosets x + B_{-r}, -M <= r <= ell.
+
+    A coset x + B_{-r} fixes the digits of x below exponent r, and in grid
+    order those are the leading M + r digits of each coordinate's position;
+    so at level r the cosets are the blocks of p**(ell - r) positions a side.
+    The block sums are built once, each level from the finer one above it.
+    A rational table is carried as integers over one common denominator, so
+    the sums are exact integer additions and each average is one Fraction;
+    any other table is carried as complex numbers.
+    """
+
+    __slots__ = ("f", "exact", "den", "sums")
+
+    def __init__(self, f: CosetFunction):
+        self.f = f
+        values = [v for _, v in f.items()]
+        self.exact = all(isinstance(v, Fraction) for v in values)
+        if self.exact:
+            self.den = math.lcm(*(v.denominator for v in values))
+            level = [v.numerator * (self.den // v.denominator) for v in values]
+        else:
+            self.den = None
+            level = [value_to_complex(v) for v in values]
+        p, n, M, ell = f.ctx.p, f.n, f.support_exp, f.resolution_exp
+        self.sums = {ell: level}
+        for r in range(ell - 1, -M - 1, -1):
+            coarse = [0] * p ** (n * (M + r))
+            for g, s in zip(_block_ids(p, n, M + r + 1, 1), level):
+                coarse[g] += s
+            self.sums[r] = level = coarse
+
+    def _count(self, r: int) -> int:
+        """Grid cosets in one coset of level r."""
+        return self.f.ctx.p ** (self.f.n * (self.f.resolution_exp - r))
+
+    def differs(self, r: int, tol: float = 0.0) -> bool:
+        """Whether A_r f and A_{r-1} f differ (by more than tol, for a complex table)."""
+        p, n = self.f.ctx.p, self.f.n
+        parent = _block_ids(p, n, self.f.support_exp + r, 1)
+        fine, coarse = self.sums[r], self.sums[r - 1]
+        if self.exact:
+            q = p**n
+            return any(s * q != coarse[g] for g, s in zip(parent, fine))
+        cf, cc = self._count(r), self._count(r - 1)
+        return any(abs(s / cf - coarse[g] / cc) > tol for g, s in zip(parent, fine))
+
+    def mix(self, lo: int, hi: int, c) -> CosetFunction:
+        """The table A_lo f + c*(A_hi f - A_lo f), for lo <= hi and rational c."""
+        f = self.f
+        p, n, M, ell = f.ctx.p, f.n, f.support_exp, f.resolution_exp
+        parent = _block_ids(p, n, M + hi, hi - lo)
+        fine, coarse = self.sums[hi], self.sums[lo]
+        if self.exact:
+            q = p ** (n * (hi - lo))
+            cn, cd = c.numerator, c.denominator
+            den = cd * self.den * self._count(lo)
+            by_block = [
+                Fraction(cd * coarse[g] + cn * (s * q - coarse[g]), den)
+                for g, s in zip(parent, fine)
+            ]
+        else:
+            cf, cl, ch = float(c), self._count(lo), self._count(hi)
+            by_block = [
+                coarse[g] / cl + cf * (s / ch - coarse[g] / cl)
+                for g, s in zip(parent, fine)
+            ]
+        cells = _block_ids(p, n, M + ell, ell - hi)
+        values = [by_block[g] for g in cells]
+        return CosetFunction(f.grid, dict(zip(f.grid.representatives, values)))
 
 
 # -- radial functions --------------------------------------------------------
@@ -494,6 +586,9 @@ def from_json_dict(doc: dict) -> CosetFunction:
         entries = doc["values"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed coset table document: {exc}") from exc
+    if not all(type(v) is int for v in (n, M, ell)) or not isinstance(entries, list):
+        raise ConfigError("malformed coset table document: n, M and ell must be "
+                          "integers and values a list")
     grid = enumerate_cosets(ctx, M, ell, n)
     if len(entries) != len(grid):
         raise ConfigError(
@@ -503,13 +598,17 @@ def from_json_dict(doc: dict) -> CosetFunction:
     known = set(grid.representatives)
     values = {}
     for entry in entries:
-        rep = tuple(
-            Fraction(sum(d * p**i for i, d in enumerate(digs)), p**M)
-            for digs in entry["digits"]
-        )
+        try:
+            rep = tuple(
+                Fraction(sum(d * p**i for i, d in enumerate(digs)), p**M)
+                for digs in entry["digits"]
+            )
+            value = _value_from_json(entry)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"malformed coset table entry {entry!r}: {exc!r}") from exc
         if rep not in known:
             raise ConfigError(f"digits {entry['digits']} name no grid coset")
-        values[rep] = _value_from_json(entry)
+        values[rep] = value
     return CosetFunction(grid, values)
 
 

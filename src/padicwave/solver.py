@@ -11,20 +11,31 @@ is carried by the multiplier
 
 where K = beta/alpha is the integer coupling between the temporal and
 spatial operator orders (non-integer ratios admit only the zero solution,
-and construction refuses them).  Physical-side propagation convolves the
-data against an explicit radial kernel; both routes are implemented and
-must agree, which is the backbone of the verification suite.
+and construction refuses them).
+
+The multiplier is radial in xi, and multiplying a transform by the
+indicator of the frequency ball B_r is the same as averaging the table over
+the cosets x + B_{-r} (the inverse transform of 1_{B_r} is p**(n*r) times
+1_{B_{-r}}).  So a slice is a combination of two coset averages of the data,
+and ``solve_averaging``, the production route, builds it from one pyramid of
+block sums in O(N*(M + ell)) exact additions for N grid cosets.  Two
+independent routes stay as oracles for the verification suite:
+``solve_spectral`` damps the exact Fourier transform sphere by sphere and
+inverts it, and ``solve_convolution`` convolves the data with the explicit
+radial kernel.  All three agree, exactly on rational data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConfigError, LizorkinError, SpectralCompatibilityError
 from .fourier import forward, inverse
 from .functions import (
+    CosetAverages,
     CosetFunction,
     RadialShellFunction,
     evaluate,
@@ -223,6 +234,8 @@ class WaveProblem:
     u0: CosetFunction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ConfigError(f"the dimension n must be a positive integer, got {self.n}")
         if not isinstance(self.K, int) or self.K < 1:
             raise ConfigError(
                 f"the coupling K must be a positive integer, got {self.K}"
@@ -249,11 +262,19 @@ class WaveProblem:
         integer; anything else admits only the zero solution, so we refuse
         loudly instead of computing garbage.
         """
-        ratio = float(beta) / float(alpha)
+        if not float(alpha) > 0:
+            raise ConfigError(f"the temporal order must be positive, got {alpha}")
+        if isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction)):
+            ratio = Fraction(beta) / Fraction(alpha)
+            shown, integral = str(ratio), ratio.denominator == 1
+        else:
+            ratio = float(beta) / float(alpha)
+            shown = f"{ratio:.6g}"
+            integral = abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
         K = round(ratio)
-        if K < 1 or abs(ratio - K) > 1e-9 * max(1.0, abs(ratio)):
+        if K < 1 or not integral:
             raise SpectralCompatibilityError(
-                f"beta/alpha = {ratio:.6g} is not a positive integer; the "
+                f"beta/alpha = {shown} is not a positive integer; the "
                 "separated modes then all collapse and the problem admits "
                 "only the zero solution. Choose beta = K*alpha."
             )
@@ -261,6 +282,16 @@ class WaveProblem:
 
     def multiplier(self) -> PropagationMultiplier:
         return PropagationMultiplier(self.ctx, self.K)
+
+    @cached_property
+    def averages(self) -> CosetAverages:
+        """The coset averages of the data, built once per problem."""
+        return CosetAverages(self.u0)
+
+    @cached_property
+    def u0_l1(self):
+        """||u0||_1, computed once per problem."""
+        return l1_norm(self.u0)
 
 
 @dataclass(frozen=True)
@@ -271,6 +302,29 @@ class SolutionSlice:
     field: CosetFunction
 
 
+def solve_averaging(prob: WaveProblem, L) -> SolutionSlice:
+    """Slice at |t| = p**L as A_{N*} u0 + c*(A_{N*+1} - A_{N*}) u0.
+
+    With N* = floor(-L/K), b(L, .) is 1 on the frequency ball B_{N*}, c on
+    the sphere N* + 1 and 0 beyond, where c = -1/(p-1) when L = 1 - K*(N*+1)
+    and c = 0 otherwise.  Both levels are clamped to the grid's [-M, ell]:
+    the transform lives on B_ell, and its origin coset B_{-M} always keeps
+    the multiplier 1.
+    """
+    if L == T_ZERO:
+        return SolutionSlice(L=L, field=prob.u0)
+    L = int(L)
+    M, ell = prob.u0.support_exp, prob.u0.resolution_exp
+    top = (-L) // prob.K
+    if L == 1 - prob.K * (top + 1):
+        c, hi = Fraction(-1, prob.ctx.p - 1), top + 1
+    else:
+        c, hi = Fraction(0), top
+    lo = min(max(top, -M), ell)
+    hi = min(max(hi, -M), ell)
+    return SolutionSlice(L=L, field=prob.averages.mix(lo, hi, c))
+
+
 def spectral_data(prob: WaveProblem) -> CosetFunction:
     """Fourier transform of the initial data (compute once, reuse per slice)."""
     return forward(prob.u0)
@@ -279,7 +333,7 @@ def spectral_data(prob: WaveProblem) -> CosetFunction:
 def solve_spectral(
     prob: WaveProblem, L, u0_hat: CosetFunction | None = None
 ) -> SolutionSlice:
-    """Slice at |t| = p**L by damping each frequency sphere and inverting."""
+    """Slice at |t| = p**L by damping each frequency sphere and inverting (oracle)."""
     if u0_hat is None:
         u0_hat = spectral_data(prob)
     b = prob.multiplier()
@@ -291,7 +345,7 @@ def solve_spectral(
 
 
 def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
-    """Slice at |t| = p**L by convolving the data with the radial kernel.
+    """Slice at |t| = p**L by convolving the data with the radial kernel (oracle).
 
     Off-diagonal cosets sample the kernel at the representative difference,
     which is exact because the kernel is radial and a coset never straddles
@@ -331,30 +385,25 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
     return SolutionSlice(L=L, field=CosetFunction(f.grid, values))
 
 
-def auto_time_sweep(prob: WaveProblem, u0_hat: CosetFunction | None = None) -> range:
+def auto_time_sweep(prob: WaveProblem) -> range:
     """Every time label where a slice can differ from its neighbors.
 
     The multiplier changes behavior only at L = -K*N + 1 and -K*N + 2 for
     frequency spheres N actually present in the data, so sweeping
     [-K*N_max - 1, -K*N_min + 2] (one step of slack below) captures every
-    transition plus one fully-propagated and one fully-frozen slice.
+    transition plus one fully-propagated and one fully-frozen slice.  The
+    sphere N is present iff A_N u0 != A_{N-1} u0: exactly for a rational
+    table, beyond 1e-12 * max(1, max|u0|) otherwise.
     """
-    if u0_hat is None:
-        u0_hat = spectral_data(prob)
-    exps = []
-    scale = 0.0
-    for rep, v in u0_hat.items():
-        scale = max(scale, abs(value_to_complex(v)))
-    tol = 1e-12 * max(1.0, scale)
-    for rep, v in u0_hat.items():
-        if is_exact_value(v):
-            nonzero = not values_equal(v, Fraction(0))
-        else:
-            nonzero = abs(value_to_complex(v)) > tol
-        if nonzero:
-            e = vector_norm_exponent(rep, prob.ctx.p)
-            if e != NEG_INF:
-                exps.append(int(e))
+    avg = prob.averages
+    tol = 0.0
+    if not avg.exact:
+        tol = 1e-12 * max(1.0, max(abs(value_to_complex(v)) for _, v in prob.u0.items()))
+    exps = [
+        N
+        for N in range(-prob.u0.support_exp + 1, prob.u0.resolution_exp + 1)
+        if avg.differs(N, tol)
+    ]
     if not exps:
         return range(-prob.K - 1, prob.K + 3)
     lo = -prob.K * max(exps) - 1
@@ -394,13 +443,12 @@ def dependence_check(
                 confined = False
     wide = regrid(prob.u0, prob.u0.support_exp + pad, prob.u0.resolution_exp)
     wide_prob = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=prob.alpha, K=prob.K, u0=wide)
-    u0_hat = spectral_data(wide_prob)
-    sweep = auto_time_sweep(wide_prob, u0_hat)
+    sweep = auto_time_sweep(wide_prob)
     L_top = prob.K * (N - 1)
     labels = sorted(set(lab for lab in sweep if lab <= L_top) | {L_top, L_top - 1})
     max_leak = 0.0
     for L in labels:
-        sl = solve_spectral(wide_prob, L, u0_hat)
+        sl = solve_averaging(wide_prob, L)
         for rep, v in sl.field.items():
             e = vector_norm_exponent(rep, p)
             if e != NEG_INF and e > N:
@@ -432,10 +480,10 @@ def l1_bound_check(prob: WaveProblem, L, slice_: SolutionSlice | None = None) ->
     bound, and every slice must respect it.
     """
     if slice_ is None:
-        slice_ = solve_spectral(prob, L)
+        slice_ = solve_averaging(prob, L)
     gamma = max(1, _ceil_div(2, prob.K))
     bound = float(prob.ctx.p) ** (2 * prob.n * gamma)
-    base = l1_norm(prob.u0)
+    base = prob.u0_l1
     grown = l1_norm(slice_.field)
     base_f, grown_f = float(base), float(grown)
     if base_f == 0.0:
@@ -453,14 +501,15 @@ class UniquenessReport:
 
 
 def uniqueness_smoke(prob: WaveProblem, labels=None) -> UniquenessReport:
-    """Zero data must evolve to zero along both routes at every time."""
-    if float(l1_norm(prob.u0)) != 0.0:
+    """Zero data must evolve to zero along all three routes at every time."""
+    if float(prob.u0_l1) != 0.0:
         raise ConfigError("uniqueness smoke test needs identically zero data")
     if labels is None:
         labels = list(auto_time_sweep(prob)) or [-1, 0, 1]
     worst = 0.0
     for L in labels:
-        for sl in (solve_spectral(prob, L), solve_convolution(prob, L)):
+        routes = (solve_averaging, solve_spectral, solve_convolution)
+        for sl in (route(prob, L) for route in routes):
             for _, v in sl.field.items():
                 worst = max(worst, abs(value_to_complex(v)))
     return UniquenessReport(swept=tuple(labels), max_abs=worst, passed=worst <= 1e-12)
@@ -474,13 +523,9 @@ def time_profile(prob: WaveProblem, x, phi_tol: float = PHI_TOL) -> RadialShellF
     is checked to have zero mean in t (with the 1-dimensional measure),
     which is the time-side Lizorkin property the duality argument needs.
     """
-    u0_hat = spectral_data(prob)
-    sweep = auto_time_sweep(prob, u0_hat)
+    sweep = auto_time_sweep(prob)
     core = evaluate(prob.u0, x)
-    shells = []
-    for L in sweep:
-        sl = solve_spectral(prob, L, u0_hat)
-        shells.append(evaluate(sl.field, x))
+    shells = [evaluate(solve_averaging(prob, L).field, x) for L in sweep]
     profile = RadialShellFunction(
         ctx=prob.ctx, core_value=core, shells=tuple(shells), shell_lo=sweep.start
     ).normalize()

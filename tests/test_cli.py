@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,3 +188,69 @@ def test_verify_passes_tolerances_and_bracket_through(tmp_path, monkeypatch):
     assert seen["bracket"] == "floor"
     assert seen["tol_duality"] == pytest.approx(1e-8)
     assert seen["seed"] == 7
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("case", ["default", "eigen-p2-n2-K3", "table-p3-n1-K2"])
+def test_solve_output_matches_golden_files(case, tmp_path, monkeypatch):
+    # the table config names its u0 file relative to the golden directory
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / case
+    assert cli.main(["solve", "--config", f"{case}.json", "--out", str(out)]) == 0
+    want = GOLDEN / case
+    names = sorted(f.name for f in want.iterdir())
+    assert sorted(f.name for f in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def _table_without_re(path: Path) -> Path:
+    doc = json.loads((GOLDEN / "table-p3-n1-M2-ell1.json").read_text())
+    del doc["values"][0]["re"]
+    table = path / "u0.json"
+    table.write_text(json.dumps(doc))
+    return table
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [
+        ({"p": "abc"}, []),
+        ({"alpha": "1/0"}, []),
+        ({"sweep": ["x"]}, []),
+        ({"tolerances": {"duality": "x"}}, []),
+        ({"n": 0}, []),
+        ({}, ["--sweep", "1,a"]),
+        ({"p": 3, "u0_spec": "TABLE"}, []),
+    ],
+    ids=["p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry"],
+)
+def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
+    if doc.get("u0_spec") == "TABLE":
+        doc["u0_spec"] = str(_table_without_re(tmp_path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicwave.cli", "solve", "--config", str(cfg),
+         "--out", str(tmp_path / "o"), *extra],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_near_integer_exact_ratio_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": "1/3", "beta": "1000000000001/1000000000000"}))
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "not a positive integer" in capsys.readouterr().err
+    # float orders keep the relative slack of 1e-9
+    cfg.write_text(json.dumps({"alpha": 1 / 3, "beta": 1.000000000001}))
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["K"] == 3

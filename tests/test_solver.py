@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,19 @@ from padicwave.functions import (
     ball_indicator,
     embed_radial,
     equal_exact,
+    max_abs_diff,
     scale,
     sphere_indicator,
     translate,
 )
-from padicwave.lattice import SphereSpec, enumerate_cosets, sphere_volume
+from padicwave.lattice import (
+    SphereSpec,
+    enumerate_cosets,
+    sphere_volume,
+    vector_norm_exponent,
+)
 from padicwave.padic import NEG_INF, PrimeContext
+from padicwave.phases import is_exact_value, value_to_complex, values_equal
 from padicwave.solver import (
     T_ZERO,
     WaveProblem,
@@ -32,8 +40,10 @@ from padicwave.solver import (
     kernel_oracle,
     l1_bound_check,
     multiplier_value,
+    solve_averaging,
     solve_convolution,
     solve_spectral,
+    spectral_data,
     time_profile,
     uniqueness_smoke,
 )
@@ -283,3 +293,130 @@ def test_wave_problem_validation():
         WaveProblem(ctx=PrimeContext(3), n=1, alpha=1, K=1, u0=u0)
     with pytest.raises(LizorkinError):
         WaveProblem(ctx=ctx, n=1, alpha=1, K=1, u0=ball_indicator(ctx, 1, 0))
+
+
+# -- the averaging route against the spectral oracle ---------------------------
+
+
+def _zero_mean_table(rng, ctx, n, M, ell):
+    grid = enumerate_cosets(ctx, M, ell, n)
+    raw = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in grid.representatives]
+    mean = sum(raw, Fraction(0)) / len(raw)
+    return CosetFunction(grid, {rep: v - mean for rep, v in zip(grid.representatives, raw)})
+
+
+def _float_copy(f):
+    return CosetFunction(f.grid, {rep: float(v) for rep, v in f.items()})
+
+
+# (p, n, M, ell) of the seeded tables: every grid small enough for the O(N^2)
+# exact transforms of the spectral oracle
+TABLE_GRIDS = (
+    (2, 1, 1, 2), (2, 1, 2, 1), (3, 1, 1, 1), (3, 1, 2, 1), (5, 1, 1, 0), (5, 1, 0, 1),
+    (2, 2, 1, 1), (3, 2, 1, 0), (3, 2, 0, 1), (5, 2, 0, 1),
+)
+
+
+def _route_problems():
+    """Radial built-ins and seeded zero-mean non-radial rational tables."""
+    rng = random.Random(20261018)
+    for p in (2, 3, 5):
+        ctx = PrimeContext(p)
+        for n in (1, 2):
+            for K in (1, 2, 3):
+                # 'sphere-indicator 1' and 'eigen 1 C' profiles, on the narrowest grid
+                yield WaveProblem(ctx=ctx, n=n, alpha=1, K=K,
+                                  u0=embed_radial(eigenfunction(1, 1, 1, ctx, n), 0, 1, n))
+                C = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                yield WaveProblem(ctx=ctx, n=n, alpha=1, K=K,
+                                  u0=embed_radial(eigenfunction(1, C, K, ctx, n), 1 - K, K, n))
+    for i, (p, n, M, ell) in enumerate(TABLE_GRIDS):
+        ctx = PrimeContext(p)
+        yield WaveProblem(ctx=ctx, n=n, alpha=1, K=1 + i % 3,
+                          u0=_zero_mean_table(rng, ctx, n, M, ell))
+
+
+ROUTE_PROBLEMS = list(_route_problems())
+
+
+def _labels(prob):
+    """The auto sweep plus labels past both ends, where the levels clamp."""
+    sweep = auto_time_sweep(prob)
+    return [T_ZERO, sweep.start - 3, *sweep, sweep.stop + 2]
+
+
+def _transform_sweep(prob):
+    """The sweep rule read off the exact transform: spheres where it is nonzero."""
+    u0_hat = forward(prob.u0)
+    scale_ = max(abs(value_to_complex(v)) for _, v in u0_hat.items())
+    tol = 1e-12 * max(1.0, scale_)
+    exps = set()
+    for rep, v in u0_hat.items():
+        if is_exact_value(v):
+            nonzero = not values_equal(v, Fraction(0))
+        else:
+            nonzero = abs(value_to_complex(v)) > tol
+        e = vector_norm_exponent(rep, prob.ctx.p)
+        if nonzero and e != NEG_INF:
+            exps.add(int(e))
+    if not exps:
+        return range(-prob.K - 1, prob.K + 3)
+    return range(-prob.K * max(exps) - 1, -prob.K * min(exps) + 3)
+
+
+def _problem_id(prob):
+    return f"p{prob.ctx.p}-n{prob.n}-K{prob.K}-M{prob.u0.support_exp}-ell{prob.u0.resolution_exp}"
+
+
+@pytest.mark.parametrize("prob", ROUTE_PROBLEMS, ids=_problem_id)
+def test_averaging_equals_spectral_exactly(prob):
+    u0_hat = spectral_data(prob)
+    for L in _labels(prob):
+        got = solve_averaging(prob, L).field
+        want = solve_spectral(prob, L, u0_hat).field
+        assert got.values == want.values, L
+        assert all(isinstance(v, Fraction) for v in got.values.values())
+
+
+@pytest.mark.parametrize("prob", ROUTE_PROBLEMS, ids=_problem_id)
+def test_averaging_sweep_equals_transform_sweep(prob):
+    assert auto_time_sweep(prob) == _transform_sweep(prob)
+    floats = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=1, K=prob.K, u0=_float_copy(prob.u0))
+    assert auto_time_sweep(floats) == _transform_sweep(floats)
+
+
+@pytest.mark.parametrize("prob", ROUTE_PROBLEMS[::3], ids=_problem_id)
+def test_averaging_matches_spectral_on_float_tables(prob):
+    u0 = _float_copy(prob.u0)
+    floats = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=1, K=prob.K, u0=u0)
+    tol = 1e-12 * max(1.0, max(abs(v) for _, v in u0.items()))
+    u0_hat = spectral_data(floats)
+    for L in _labels(floats):
+        got = solve_averaging(floats, L).field
+        assert max_abs_diff(got, solve_spectral(floats, L, u0_hat).field) <= tol, L
+
+
+def test_averaging_at_time_zero_is_the_data():
+    prob = ROUTE_PROBLEMS[-1]
+    assert solve_averaging(prob, T_ZERO).field is prob.u0
+
+
+def test_exact_ratio_decides_the_coupling():
+    ctx = PrimeContext(2)
+    u0 = eigen_data(ctx, 0, Fraction(1), 1)
+    with pytest.raises(SpectralCompatibilityError, match="not a positive integer"):
+        WaveProblem.from_alpha_beta(
+            ctx, 1, Fraction(1, 3), Fraction(1000000000001, 1000000000000), u0
+        )
+    assert WaveProblem.from_alpha_beta(ctx, 1, Fraction(1, 3), 1, u0).K == 3
+    # float orders keep the 1e-9 relative slack
+    assert WaveProblem.from_alpha_beta(ctx, 1, 1 / 3, 1.000000000001, u0).K == 3
+    with pytest.raises(ConfigError):
+        WaveProblem.from_alpha_beta(ctx, 1, 0, 1, u0)
+
+
+def test_dimension_must_be_positive():
+    ctx = PrimeContext(2)
+    u0 = eigen_data(ctx, 0, Fraction(1), 1)
+    with pytest.raises(ConfigError, match="dimension"):
+        WaveProblem(ctx=ctx, n=0, alpha=1, K=1, u0=u0)
