@@ -126,20 +126,20 @@ def _ball_sum_direct(ctx: PrimeContext, n: int, gamma: int, xi_vec):
 
 def _random_table(rng: random.Random, ctx, n, M, ell, exact: bool) -> CosetFunction:
     grid = enumerate_cosets(ctx, M, ell, n)
-    values = {}
-    for rep in grid.representatives:
+    values = []
+    for _ in grid.representatives:
         if exact:
-            values[rep] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            values.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         else:
-            values[rep] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            values.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
     return CosetFunction(grid, values)
 
 
 def _zero_mean(f: CosetFunction) -> CosetFunction:
     """Project a rational table onto the zero-mean class, exactly."""
-    total = sum(f.values.values(), Fraction(0))
+    total = sum(f.values, Fraction(0))
     shift = total / len(f.grid)
-    return CosetFunction(f.grid, {rep: v - shift for rep, v in f.items()})
+    return CosetFunction(f.grid, [v - shift for v in f.values])
 
 
 def _eigen_table(ctx, n, N, C, K, widen: int = 0) -> CosetFunction:
@@ -245,7 +245,7 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> Ch
         if not (is_in_Phi(f, 0.0) and is_in_Psi(forward(f), 0.0)):
             flag_fail.append(f"zero-mean table p={p} n={n}")
         grid = enumerate_cosets(ctx, 1, 1, n)
-        one = CosetFunction(grid, {rep: Fraction(1) for rep in grid.representatives})
+        one = CosetFunction(grid, [Fraction(1)] * len(grid))
         if is_in_Phi(one, 0.0) or is_in_Psi(forward(one), 0.0):
             flag_fail.append(f"constant table p={p} n={n}")
     if flag_fail:
@@ -274,8 +274,8 @@ def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
                     spect = apply_spectral(params, f)
                     hyper = apply_hypersingular_field(params, f)
                     for got in (spect, hyper):
-                        for rep, v in got.items():
-                            ref_c = value_to_complex(value_scale(f.values[rep], lam))
+                        for v, w in zip(got.values, f.values):
+                            ref_c = value_to_complex(value_scale(w, lam))
                             err = abs(value_to_complex(v) - ref_c)
                             worst = max(worst, err / max(abs(ref_c), 1e-30))
                     combos += 1
@@ -446,8 +446,8 @@ def check_time_pde(tol: float = 1e-10) -> CheckResult:
         scale_ref = max(
             (abs(value_to_complex(v)) for _, v in table.items()), default=1.0
         )
-        for rep, v in applied.items():
-            ref = value_to_complex(table.values[rep]) * lam_c
+        for v, w in zip(applied.values, table.values):
+            ref = value_to_complex(w) * lam_c
             err = abs(value_to_complex(v) - ref)
             worst = max(worst, err / max(abs(lam_c) * scale_ref, 1e-30))
         combos += 1
@@ -468,11 +468,11 @@ def check_finite_dependence(tol: float = 1e-12) -> CheckResult:
         for K in (1, 2):
             for N in (0, 1, 2):
                 grid = enumerate_cosets(ctx, N, 1 - N, 1)
-                values = {}
+                values = []
                 for rep in grid.representatives:
                     e = vector_norm_exponent(rep, p)
                     inner = e == NEG_INF or e <= N - 1
-                    values[rep] = Fraction(1) if inner else Fraction(0)
+                    values.append(Fraction(1) if inner else Fraction(0))
                 f = CosetFunction(grid, values)
                 f = _zero_mean(f)
                 prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=K, u0=f)
@@ -518,7 +518,7 @@ def check_uniqueness() -> CheckResult:
     for p, n in ((2, 1), (3, 1), (2, 2)):
         ctx = PrimeContext(p)
         grid = enumerate_cosets(ctx, 1, 1, n)
-        zero = CosetFunction(grid, {rep: Fraction(0) for rep in grid.representatives})
+        zero = CosetFunction(grid, [Fraction(0)] * len(grid))
         prob = WaveProblem(ctx=ctx, n=n, alpha=1, K=1, u0=zero)
         report = uniqueness_smoke(prob, labels=[-3, -1, 0, 1, 2])
         if not report.passed:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,16 +62,19 @@ EXIT_REFUSED = 4
 
 
 def _parse_number(text):
-    """int, 'a/b' Fraction, or float, in that preference order."""
+    """int, 'a/b' Fraction, or finite float, in that preference order."""
     s = str(text).strip()
     try:
         return int(s)
     except ValueError:
         pass
     try:
-        return Fraction(s) if "/" in s else float(s)
+        value = Fraction(s) if "/" in s else float(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{text!r} is not a number") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parsed(key: str, parse, raw):
@@ -234,13 +238,14 @@ def _build_problem(cfg: RunConfig) -> WaveProblem:
     return WaveProblem(ctx=ctx, n=cfg.n, alpha=cfg.alpha, K=cfg.K, u0=u0)
 
 
-def _write_slice_csv(path: Path, field: CosetFunction) -> None:
+def _write_slice_csv(path: Path, coords: list, field: CosetFunction) -> None:
+    """One row per coset: its rendered coordinates (from coords, in grid order) and value."""
     n = field.n
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([f"x{i}" for i in range(n)] + ["re", "im", "num", "den"])
-        for rep, v in field.items():
-            w.writerow([_frac_str(c) for c in rep] + list(_value_columns(v)))
+        for xs, v in zip(coords, field.values):
+            w.writerow(xs + list(_value_columns(v)))
 
 
 def _write_profile_csv(path: Path, profile) -> None:
@@ -261,12 +266,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     sweep = list(auto_time_sweep(prob)) if cfg.sweep == "auto" else list(cfg.sweep)
-    _write_slice_csv(out / "u0.csv", prob.u0)
+    # every slice lives on u0's grid, so its coordinate columns are rendered once
+    coords = [[_frac_str(c) for c in rep] for rep in prob.u0.grid.representatives]
+    _write_slice_csv(out / "u0.csv", coords, prob.u0)
     l1_ratios = {}
     bound = None
     for L in sweep:
         sl = solve_averaging(prob, L)
-        _write_slice_csv(out / f"slice_L{L}.csv", sl.field)
+        _write_slice_csv(out / f"slice_L{L}.csv", coords, sl.field)
         rep = l1_bound_check(prob, L, sl)
         l1_ratios[str(L)] = rep.ratio
         bound = rep.bound
@@ -342,8 +349,8 @@ def cmd_eigen_check(args: argparse.Namespace) -> int:
     lam = params.power_of_p(args.K * args.N)
     worst = 0.0
     for got in (apply_spectral(params, f), apply_hypersingular_field(params, f)):
-        for rep, v in got.items():
-            ref = value_to_complex(f.values[rep]) * complex(float(lam))
+        for v, w in zip(got.values, f.values):
+            ref = value_to_complex(w) * complex(float(lam))
             err = abs(value_to_complex(v) - ref)
             worst = max(worst, err / max(abs(ref), 1e-30))
     tol = args.tol_eigen if args.tol_eigen is not None else 1e-10

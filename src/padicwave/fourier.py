@@ -43,7 +43,7 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     vol = f.grid.coset_volume
     in_items = [(rep, v) for rep, v in f.items()]
     phase_cache: dict = {}
-    out_values = {}
+    out_values = []
     if f.is_exact():
         for xi in out_grid.representatives:
             acc: dict[Fraction, Fraction] = {}
@@ -57,7 +57,7 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
                         acc[key] = acc.get(key, _ZERO) + c
                 else:
                     acc[ph] = acc.get(ph, _ZERO) + val
-            out_values[xi] = reduce_value(PhaseSum(p, acc).scaled(vol))
+            out_values.append(reduce_value(PhaseSum(p, acc).scaled(vol)))
     else:
         cis_cache: dict[Fraction, complex] = {}
         fvol = float(vol)
@@ -70,7 +70,7 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
                     w = phase_to_complex(ph)
                     cis_cache[ph] = w
                 acc_c += value_to_complex(val) * w
-            out_values[xi] = acc_c * fvol
+            out_values.append(acc_c * fvol)
     return CosetFunction(out_grid, out_values)
 
 

@@ -1,7 +1,8 @@
 """Test functions on Q_p^n as finite coset tables, plus radial profiles.
 
 A CosetFunction is supported in the ball B_M^n and constant on cosets of
-B_{-ell}^n, so a finite table of one value per coset describes it totally.
+B_{-ell}^n, so a finite table of one value per coset describes it totally:
+a tuple of values in grid order, addressed through ``CosetGrid.position``.
 Values may be exact (int, Fraction, PhaseSum) or floating (float, complex);
 exact values stay exact through every operation here.
 
@@ -12,6 +13,7 @@ single core value on the ball below the lowest shell (origin included).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +26,6 @@ from .lattice import (
     as_fraction_vector,
     enumerate_cosets,
     vector_norm_exponent,
-    vector_representative,
 )
 from .padic import INF, NEG_INF, PrimeContext, rational_valuation
 from .phases import (
@@ -38,6 +39,7 @@ from .phases import (
 )
 
 RADIAL_FLOAT_TOL = 1e-12
+PHI_TOL = 1e-10
 
 
 def _normalize_value(v):
@@ -51,19 +53,17 @@ def _normalize_value(v):
 
 
 class CosetFunction:
-    """Finite coset table over a grid; treat instances as immutable."""
+    """Finite coset table: a tuple of values in grid order; treat as immutable."""
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: CosetGrid, values: dict):
+    def __init__(self, grid: CosetGrid, values):
         self.grid = grid
-        table = {}
-        for rep in grid.representatives:
-            table[rep] = _normalize_value(values.get(rep, Fraction(0)))
-        extra = set(values) - set(table)
-        if extra:
-            raise ConfigError(f"values given off the grid: {sorted(extra)[:3]}")
-        self.values = table
+        self.values = tuple(_normalize_value(v) for v in values)
+        if len(self.values) != len(grid):
+            raise ConfigError(
+                f"expected {len(grid)} values in grid order, got {len(self.values)}"
+            )
 
     # -- construction -----------------------------------------------------
 
@@ -76,27 +76,22 @@ class CosetFunction:
         resolution_exp: int,
         values,
     ) -> "CosetFunction":
-        """Build from a mapping rep -> value or a sequence in grid order."""
-        grid = enumerate_cosets(ctx, support_exp, resolution_exp, n)
-        if not isinstance(values, dict):
-            seq = list(values)
-            if len(seq) != len(grid):
-                raise ConfigError(
-                    f"expected {len(grid)} values in grid order, got {len(seq)}"
-                )
-            values = dict(zip(grid.representatives, seq))
-        else:
-            values = {
-                tuple(Fraction(c) for c in rep): v for rep, v in values.items()
-            }
-        return cls(grid, values)
+        """Build from a sequence in grid order or a mapping rep -> value.
 
-    @classmethod
-    def zeros(
-        cls, ctx: PrimeContext, n: int, support_exp: int, resolution_exp: int
-    ) -> "CosetFunction":
+        A mapping may leave cosets out (their value is 0), but each key must
+        be a grid representative.
+        """
         grid = enumerate_cosets(ctx, support_exp, resolution_exp, n)
-        return cls(grid, {})
+        if isinstance(values, dict):
+            table = [Fraction(0)] * len(grid)
+            for rep, v in values.items():
+                vec = as_fraction_vector(rep, n)
+                i = grid.position(vec)
+                if i is None or grid.representatives[i] != vec:
+                    raise ConfigError(f"value given off the grid at {rep}")
+                table[i] = v
+            values = table
+        return cls(grid, values)
 
     # -- basic queries -----------------------------------------------------
 
@@ -118,11 +113,10 @@ class CosetFunction:
 
     def items(self):
         """(representative, value) pairs in deterministic grid order."""
-        for rep in self.grid.representatives:
-            yield rep, self.values[rep]
+        return zip(self.grid.representatives, self.values)
 
     def is_exact(self) -> bool:
-        return all(is_exact_value(v) for v in self.values.values())
+        return all(is_exact_value(v) for v in self.values)
 
     def __repr__(self) -> str:
         return (
@@ -134,11 +128,8 @@ class CosetFunction:
 
 def evaluate(f: CosetFunction, x):
     """Value of f at a point of Q_p^n (0 outside the support ball)."""
-    vec = as_fraction_vector(x, f.n)
-    rep = vector_representative(f.ctx, f.support_exp, f.resolution_exp, vec)
-    if rep is None:
-        return Fraction(0)
-    return f.values[rep]
+    i = f.grid.position(as_fraction_vector(x, f.n))
+    return Fraction(0) if i is None else f.values[i]
 
 
 def integrate(f: CosetFunction):
@@ -150,16 +141,16 @@ def integrate(f: CosetFunction):
     vol = f.grid.coset_volume
     if f.is_exact():
         acc = Fraction(0)
-        for v in f.values.values():
+        for v in f.values:
             acc = value_add(acc, v)
         return reduce_value(value_scale(acc, vol))
-    return sum(value_to_complex(v) for v in f.values.values()) * float(vol)
+    return sum(value_to_complex(v) for v in f.values) * float(vol)
 
 
 def l1_norm(f: CosetFunction):
     """Integral of |f|; a Fraction for rational tables, float otherwise."""
     vol = f.grid.coset_volume
-    vals = list(f.values.values())
+    vals = f.values
     if all(isinstance(v, Fraction) for v in vals):
         return sum(abs(v) for v in vals) * vol
     return sum(abs(value_to_complex(v)) for v in vals) * float(vol)
@@ -167,21 +158,22 @@ def l1_norm(f: CosetFunction):
 
 def is_in_Psi(f: CosetFunction, tol: float = 0.0) -> bool:
     """Vanishing at the origin: the value on the coset containing 0."""
-    zero_rep = (Fraction(0),) * f.n
-    v = reduce_value(f.values[zero_rep])
+    v = reduce_value(f.values[0])
     if isinstance(v, Fraction):
         return v == 0 if tol == 0 else abs(v) <= tol
     return abs(value_to_complex(v)) <= tol
 
 
-def is_in_Phi(f: CosetFunction, tol: float = 1e-10) -> bool:
-    """Vanishing mean: |integral of f| within tol (exact when tol = 0)."""
+def is_in_Phi(f: CosetFunction, tol: float = PHI_TOL) -> bool:
+    """Vanishing mean, judged exactly for an exact table.
+
+    A float table passes when |integral| <= tol * max(1, ||f||_1), so the
+    test scales with the data.
+    """
     s = integrate(f)
-    if isinstance(s, Fraction):
-        return s == 0 if tol == 0 else abs(s) <= tol
-    if isinstance(s, PhaseSum):
-        return abs(s.to_complex()) <= tol
-    return abs(s) <= tol
+    if is_exact_value(s):
+        return values_equal(s, Fraction(0))
+    return abs(s) <= tol * max(1.0, l1_norm(f))
 
 
 # -- pointwise algebra ------------------------------------------------------
@@ -196,8 +188,7 @@ def regrid(
     if (support_exp, resolution_exp) == (f.support_exp, f.resolution_exp):
         return f
     grid = enumerate_cosets(f.ctx, support_exp, resolution_exp, f.n)
-    values = {rep: evaluate(f, rep) for rep in grid.representatives}
-    return CosetFunction(grid, values)
+    return CosetFunction(grid, [evaluate(f, rep) for rep in grid.representatives])
 
 
 def _common_grid(f: CosetFunction, g: CosetFunction):
@@ -210,15 +201,13 @@ def _common_grid(f: CosetFunction, g: CosetFunction):
 
 def add(f: CosetFunction, g: CosetFunction) -> CosetFunction:
     a, b = _common_grid(f, g)
-    return CosetFunction(
-        a.grid, {rep: value_add(v, b.values[rep]) for rep, v in a.items()}
-    )
+    return CosetFunction(a.grid, [value_add(v, w) for v, w in zip(a.values, b.values)])
 
 
 def scale(f: CosetFunction, c) -> CosetFunction:
     if isinstance(c, int):
         c = Fraction(c)
-    return CosetFunction(f.grid, {rep: value_scale(v, c) for rep, v in f.items()})
+    return CosetFunction(f.grid, [value_scale(v, c) for v in f.values])
 
 
 def subtract(f: CosetFunction, g: CosetFunction) -> CosetFunction:
@@ -231,18 +220,18 @@ def translate(f: CosetFunction, a) -> CosetFunction:
     e = vector_norm_exponent(vec, f.ctx.p)
     M = f.support_exp if e == NEG_INF else max(f.support_exp, int(e))
     grid = enumerate_cosets(f.ctx, M, f.resolution_exp, f.n)
-    values = {
-        rep: evaluate(f, tuple(r - s for r, s in zip(rep, vec)))
+    values = [
+        evaluate(f, tuple(r - s for r, s in zip(rep, vec)))
         for rep in grid.representatives
-    }
+    ]
     return CosetFunction(grid, values)
 
 
 def max_abs_diff(f: CosetFunction, g: CosetFunction) -> float:
     a, b = _common_grid(f, g)
     worst = 0.0
-    for rep, v in a.items():
-        d = abs(value_to_complex(v) - value_to_complex(b.values[rep]))
+    for v, w in zip(a.values, b.values):
+        d = abs(value_to_complex(v) - value_to_complex(w))
         if d > worst:
             worst = d
     return worst
@@ -251,7 +240,7 @@ def max_abs_diff(f: CosetFunction, g: CosetFunction) -> float:
 def equal_exact(f: CosetFunction, g: CosetFunction) -> bool:
     """Exact pointwise equality (requires exact tables)."""
     a, b = _common_grid(f, g)
-    return all(values_equal(v, b.values[rep]) for rep, v in a.items())
+    return all(values_equal(v, w) for v, w in zip(a.values, b.values))
 
 
 # -- coset averages ----------------------------------------------------------
@@ -288,7 +277,7 @@ class CosetAverages:
 
     def __init__(self, f: CosetFunction):
         self.f = f
-        values = [v for _, v in f.items()]
+        values = f.values
         self.exact = all(isinstance(v, Fraction) for v in values)
         if self.exact:
             self.den = math.lcm(*(v.denominator for v in values))
@@ -340,8 +329,7 @@ class CosetAverages:
                 for g, s in zip(parent, fine)
             ]
         cells = _block_ids(p, n, M + ell, ell - hi)
-        values = [by_block[g] for g in cells]
-        return CosetFunction(f.grid, dict(zip(f.grid.representatives, values)))
+        return CosetFunction(f.grid, [by_block[g] for g in cells])
 
 
 # -- radial functions --------------------------------------------------------
@@ -443,7 +431,7 @@ def radial_profile(f: CosetFunction, tol: float | None = None) -> RadialShellFun
     """
     float_tol = tol
     if float_tol is None and not f.is_exact():
-        scale_ = max(1.0, max(abs(value_to_complex(w)) for w in f.values.values()))
+        scale_ = max(1.0, max(abs(value_to_complex(w)) for w in f.values))
         float_tol = RADIAL_FLOAT_TOL * scale_
     by_shell: dict = {}
     witness: dict = {}
@@ -492,11 +480,10 @@ def embed_radial(
                 f"requested resolution exponent {resolution_exp}"
             )
     grid = enumerate_cosets(r.ctx, support_exp, resolution_exp, n)
-    values = {}
-    for rep in grid.representatives:
-        e = vector_norm_exponent(rep, r.ctx.p)
-        values[rep] = r.value_at_exponent(e)
-    return CosetFunction(grid, values)
+    p = r.ctx.p
+    return CosetFunction(
+        grid, [r.value_at_exponent(vector_norm_exponent(rep, p)) for rep in grid.representatives]
+    )
 
 
 # -- ready-made tables -------------------------------------------------------
@@ -531,15 +518,6 @@ def sphere_indicator(
 # -- serialization -----------------------------------------------------------
 
 
-def _coordinate_digits(q: Fraction, p: int, support_exp: int, width: int) -> list[int]:
-    t = int(q * p**support_exp)
-    digits = []
-    for _ in range(width):
-        t, d = divmod(t, p)
-        digits.append(d)
-    return digits
-
-
 def _value_to_json(v):
     v = reduce_value(v)
     if isinstance(v, Fraction):
@@ -561,14 +539,22 @@ def _value_from_json(entry):
 
 
 def to_json_dict(f: CosetFunction) -> dict:
+    """The table as a document; each coset is named by its digits d_{-M}..d_{ell-1}.
+
+    In grid order those digits, coordinate after coordinate, are the
+    base-p digits of the coset's position, most significant first.
+    """
     width = f.support_exp + f.resolution_exp
     p = f.ctx.p
     entries = []
-    for rep, v in f.items():
+    for pos, v in enumerate(f.values):
+        digits = []
+        for _ in range(f.n * width):
+            pos, d = divmod(pos, p)
+            digits.append(d)
+        digits.reverse()
         entry = _value_to_json(v)
-        entry["digits"] = [
-            _coordinate_digits(q, p, f.support_exp, width) for q in rep
-        ]
+        entry["digits"] = [digits[j * width : (j + 1) * width] for j in range(f.n)]
         entries.append(entry)
     return {
         "p": p,
@@ -594,21 +580,34 @@ def from_json_dict(doc: dict) -> CosetFunction:
         raise ConfigError(
             f"table holds {len(entries)} values but the grid has {len(grid)}"
         )
-    p = ctx.p
-    known = set(grid.representatives)
-    values = {}
+    p, width = ctx.p, M + ell
+    values = [None] * len(grid)
     for entry in entries:
         try:
-            rep = tuple(
-                Fraction(sum(d * p**i for i, d in enumerate(digs)), p**M)
-                for digs in entry["digits"]
-            )
+            digits = entry["digits"]
             value = _value_from_json(entry)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed coset table entry {entry!r}: {exc!r}") from exc
-        if rep not in known:
-            raise ConfigError(f"digits {entry['digits']} name no grid coset")
-        values[rep] = value
+        if not (
+            isinstance(digits, list)
+            and len(digits) == n
+            and all(
+                isinstance(ds, list)
+                and len(ds) == width
+                and all(type(d) is int and 0 <= d < p for d in ds)
+                for ds in digits
+            )
+        ):
+            raise ConfigError(
+                f"digits {digits!r} name no grid coset: need {n} lists of "
+                f"{width} digits in [0, {p})"
+            )
+        i = 0
+        for d in itertools.chain.from_iterable(digits):
+            i = i * p + d
+        if values[i] is not None:
+            raise ConfigError(f"coset with digits {digits} is listed twice")
+        values[i] = value
     return CosetFunction(grid, values)
 
 

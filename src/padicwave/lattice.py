@@ -108,6 +108,29 @@ class CosetGrid:
     def __len__(self) -> int:
         return len(self.representatives)
 
+    def position(self, x) -> int | None:
+        """Index in ``representatives`` of the coset holding the n-vector x.
+
+        None when x lies outside B_M.  Coordinate j has the digit coordinate
+        a_j = x_j * p**M mod p**W with W = M + ell; read lowest first, the W
+        base-p digits of a_j are its place value, and the first coordinate
+        is the most significant.
+        """
+        p = self.ctx.p
+        width = self.support_exp + self.resolution_exp
+        modulus = p**width
+        scale = Fraction(p) ** self.support_exp
+        index = 0
+        for q in x:
+            s = q * scale
+            if s.denominator % p == 0:
+                return None
+            a = s.numerator * pow(s.denominator, -1, modulus) % modulus
+            for _ in range(width):
+                a, d = divmod(a, p)
+                index = index * p + d
+        return index
+
 
 def ball_volume(ball: BallSpec) -> Fraction:
     return Fraction(ball.ctx.p) ** (ball.n * ball.radius_exp)
@@ -165,6 +188,8 @@ def enumerate_cosets(
     Raises GridCapError when p**(n*(M+ell)) exceeds the cap (default 10**6,
     override via the PADICWAVE_GRID_CAP environment variable).
     """
+    if n < 1:
+        raise ConfigError(f"dimension must be >= 1, got {n}")
     count = grid_cardinality(ctx, support_exp, resolution_exp, n)
     cap = grid_cap()
     if count > cap:
@@ -192,40 +217,6 @@ def _build_grid(
         )
     reps = tuple(itertools.product(one_d, repeat=n))
     return CosetGrid(ctx, n, support_exp, resolution_exp, reps)
-
-
-def coset_representative(
-    ctx: PrimeContext, support_exp: int, resolution_exp: int, x
-) -> Fraction | None:
-    """Grid representative of the coset of a scalar x, or None outside B_M."""
-    q = x.value if isinstance(x, PAdicScalar) else Fraction(x)
-    p = ctx.p
-    v = rational_valuation(q, p)
-    if v < -support_exp:  # false for v = +inf (the zero scalar)
-        return None
-    width = support_exp + resolution_exp
-    if width <= 0:
-        return Fraction(0)
-    scaled = q * Fraction(p) ** support_exp  # valuation now >= 0
-    modulus = p**width
-    den = scaled.denominator
-    if den == 1:
-        t = scaled.numerator % modulus
-    else:
-        t = scaled.numerator * pow(den, -1, modulus) % modulus
-    return t * Fraction(p) ** (-support_exp)
-
-
-def vector_representative(
-    ctx: PrimeContext, support_exp: int, resolution_exp: int, vec: tuple[Fraction, ...]
-) -> tuple[Fraction, ...] | None:
-    out = []
-    for q in vec:
-        r = coset_representative(ctx, support_exp, resolution_exp, q)
-        if r is None:
-            return None
-        out.append(r)
-    return tuple(out)
 
 
 def sphere_representatives(

@@ -35,6 +35,7 @@ from fractions import Fraction
 from .errors import ConfigError, LizorkinError, SpectralCompatibilityError
 from .fourier import forward, inverse
 from .functions import (
+    PHI_TOL,
     CosetAverages,
     CosetFunction,
     RadialShellFunction,
@@ -56,8 +57,6 @@ from .phases import (
 )
 
 T_ZERO = NEG_INF  # time label for t = 0: |t| = 0, every mode multiplier is 1
-
-PHI_TOL = 1e-10
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -185,13 +184,7 @@ def kernel_at_origin_limit(K: int, n: int, L: int, ctx: PrimeContext) -> Fractio
     For M <= floor((L-2)/K) the closed form is independent of M; this is
     that shared value.
     """
-    p = ctx.p
-    lead = Fraction(p) ** (-n * _ceil_div(L, K))
-    if (L - 1) % K == 0:
-        lead -= (1 - Fraction(p) ** (-n)) * Fraction(1, p - 1) * Fraction(p) ** (
-            -n * ((L - 1) // K)
-        )
-    return lead
+    return kernel_closed_form(K, n, L, (L - 2) // K, ctx)
 
 
 def kernel_ball_integral(
@@ -244,7 +237,7 @@ class WaveProblem:
             raise ConfigError(f"the temporal order must be positive, got {self.alpha}")
         if self.u0.ctx != self.ctx or self.u0.n != self.n:
             raise ConfigError("initial data lives on a different space")
-        if not is_in_Phi(self.u0, PHI_TOL):
+        if not is_in_Phi(self.u0):
             raise LizorkinError(
                 "initial data must have zero mean: integral = "
                 f"{value_to_complex(integrate(self.u0)):.3e}"
@@ -337,10 +330,10 @@ def solve_spectral(
     if u0_hat is None:
         u0_hat = spectral_data(prob)
     b = prob.multiplier()
-    values = {}
-    for rep, v in u0_hat.items():
-        N = vector_norm_exponent(rep, prob.ctx.p)
-        values[rep] = value_scale(v, b.value(L, N))
+    values = [
+        value_scale(v, b.value(L, vector_norm_exponent(rep, prob.ctx.p)))
+        for rep, v in u0_hat.items()
+    ]
     return SolutionSlice(L=L, field=inverse(CosetFunction(u0_hat.grid, values)))
 
 
@@ -353,7 +346,7 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
     integrates the kernel over a ball at the grid resolution.
     """
     if L == T_ZERO:
-        return SolutionSlice(L=L, field=CosetFunction(prob.u0.grid, dict(prob.u0.items())))
+        return SolutionSlice(L=L, field=CosetFunction(prob.u0.grid, prob.u0.values))
     L = int(L)
     f = prob.u0
     K, n, ctx = prob.K, prob.n, prob.ctx
@@ -368,11 +361,11 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
             kernel_cache[e] = kernel_closed_form(K, n, L, e, ctx)
         return kernel_cache[e]
 
-    reps = f.grid.representatives
-    values = {}
-    for x in reps:
-        acc = value_scale(f.values[x], diag_mass)
-        for y in reps:
+    items = list(f.items())
+    values = []
+    for x, fx in items:
+        acc = value_scale(fx, diag_mass)
+        for y, fy in items:
             if y == x:
                 continue
             e = vector_norm_exponent(
@@ -380,8 +373,8 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
             )
             w = k_at(int(e)) * coset_vol
             if w:
-                acc = value_add(acc, value_scale(f.values[y], w))
-        values[x] = reduce_value(acc)
+                acc = value_add(acc, value_scale(fy, w))
+        values.append(reduce_value(acc))
     return SolutionSlice(L=L, field=CosetFunction(f.grid, values))
 
 
@@ -398,7 +391,7 @@ def auto_time_sweep(prob: WaveProblem) -> range:
     avg = prob.averages
     tol = 0.0
     if not avg.exact:
-        tol = 1e-12 * max(1.0, max(abs(value_to_complex(v)) for _, v in prob.u0.items()))
+        tol = 1e-12 * max(1.0, max(abs(value_to_complex(v)) for v in prob.u0.values))
     exps = [
         N
         for N in range(-prob.u0.support_exp + 1, prob.u0.resolution_exp + 1)

@@ -21,18 +21,15 @@ from fractions import Fraction
 
 from .errors import ConfigError, LizorkinError
 from .fourier import forward, inverse
-from .functions import CosetFunction, evaluate, integrate, is_in_Phi
+from .functions import PHI_TOL, CosetFunction, integrate, is_in_Phi
 from .lattice import (
     as_fraction_vector,
     enumerate_cosets,
     sphere_representatives,
     vector_norm_exponent,
-    vector_representative,
 )
 from .padic import NEG_INF, PrimeContext
 from .phases import reduce_value, value_add, value_scale, value_to_complex
-
-PHI_TOL = 1e-10
 
 
 def _integral_order(alpha) -> int | None:
@@ -95,22 +92,20 @@ def apply_spectral(
             f"{value_to_complex(integrate(f)):.3e} exceeds tol {phi_tol:g}"
         )
     g = forward(f)
-    values = {}
+    values = []
     for rep, v in g.items():
         e = vector_norm_exponent(rep, params.ctx.p)
         if e == NEG_INF:
-            values[rep] = Fraction(0)  # |0|**alpha = 0 kills the origin coset
+            values.append(Fraction(0))  # |0|**alpha = 0 kills the origin coset
         else:
-            values[rep] = value_scale(v, params.power_of_p(int(e)))
+            values.append(value_scale(v, params.power_of_p(int(e))))
     return inverse(CosetFunction(g.grid, values))
 
 
 def _evaluate_extended(f: CosetFunction, vec, background):
     """Table value inside the support ball, the background constant outside."""
-    rep = vector_representative(f.ctx, f.support_exp, f.resolution_exp, vec)
-    if rep is None:
-        return background
-    return f.values[rep]
+    i = f.grid.position(vec)
+    return background if i is None else f.values[i]
 
 
 def apply_hypersingular(
@@ -180,8 +175,7 @@ def apply_hypersingular_field(
     if M < f.support_exp:
         raise ConfigError("output support cannot be smaller than the input's")
     grid = enumerate_cosets(params.ctx, M, f.resolution_exp, params.n)
-    values = {
-        rep: apply_hypersingular(params, f, rep, background)
-        for rep in grid.representatives
-    }
+    values = [
+        apply_hypersingular(params, f, rep, background) for rep in grid.representatives
+    ]
     return CosetFunction(grid, values)

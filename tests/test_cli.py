@@ -10,7 +10,12 @@ import pytest
 
 from padicwave import cli
 from padicwave.acceptance import CheckResult
-from padicwave.functions import ball_indicator, save_coset_function
+from padicwave.functions import (
+    CosetFunction,
+    ball_indicator,
+    save_coset_function,
+    to_json_dict,
+)
 from padicwave.padic import PrimeContext
 from padicwave.solver import multiplier_value
 
@@ -132,6 +137,17 @@ def test_nonzero_mean_table_file_is_rejected(tmp_path, capsys):
     assert "zero mean" in capsys.readouterr().err
 
 
+def test_table_with_a_tiny_exact_mean_is_rejected(tmp_path, capsys):
+    table = tmp_path / "u0.json"
+    values = [1 + Fraction(2, 3 * 10**12), -1]  # integral 1/(3*10**12)
+    save_coset_function(CosetFunction.from_values(PrimeContext(2), 1, 0, 1, values), table)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u0_spec": str(table)}))
+    code = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "zero mean" in capsys.readouterr().err
+
+
 def test_bad_config_files(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -206,9 +222,21 @@ def test_solve_output_matches_golden_files(case, tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
-def _table_without_re(path: Path) -> Path:
-    doc = json.loads((GOLDEN / "table-p3-n1-M2-ell1.json").read_text())
-    del doc["values"][0]["re"]
+def _broken_table(path: Path, edit: str) -> Path:
+    """A saved coset table with one entry broken as edit names."""
+    if edit == "no-re":
+        doc = json.loads((GOLDEN / "table-p3-n1-M2-ell1.json").read_text())
+        del doc["values"][0]["re"]
+    else:
+        # all zero, so only the digits can be what is refused
+        doc = to_json_dict(CosetFunction.from_values(PrimeContext(3), 1, 1, 1, [0] * 9))
+        entries = doc["values"]
+        entries[1]["digits"] = {
+            "digit": [[3, 0]],  # an out-of-range alias of the coset [0, 1]
+            "digit-count": [[1, 0, 0]],
+            "coordinates": [[1, 0], [0, 0]],
+            "duplicate": entries[0]["digits"],
+        }[edit]
     table = path / "u0.json"
     table.write_text(json.dumps(doc))
     return table
@@ -223,13 +251,24 @@ def _table_without_re(path: Path) -> Path:
         ({"tolerances": {"duality": "x"}}, []),
         ({"n": 0}, []),
         ({}, ["--sweep", "1,a"]),
-        ({"p": 3, "u0_spec": "TABLE"}, []),
+        ({"p": 3, "u0_spec": "TABLE:no-re"}, []),
+        ({"p": 3, "u0_spec": "TABLE:digit"}, []),
+        ({"p": 3, "u0_spec": "TABLE:digit-count"}, []),
+        ({"p": 3, "u0_spec": "TABLE:coordinates"}, []),
+        ({"p": 3, "u0_spec": "TABLE:duplicate"}, []),
+        ({"profile_points": ["1e400"]}, []),
+        ({"profile_points": ["nan"]}, []),
+        ({"alpha": "inf"}, []),
     ],
-    ids=["p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry"],
+    ids=[
+        "p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry",
+        "table-digit", "table-digit-count", "table-coordinates", "table-duplicate",
+        "profile-overflow", "profile-nan", "alpha-inf",
+    ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
-    if doc.get("u0_spec") == "TABLE":
-        doc["u0_spec"] = str(_table_without_re(tmp_path))
+    if doc.get("u0_spec", "").startswith("TABLE:"):
+        doc["u0_spec"] = str(_broken_table(tmp_path, doc["u0_spec"].split(":")[1]))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     src = Path(cli.__file__).resolve().parents[1]

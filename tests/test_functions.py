@@ -1,11 +1,13 @@
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicwave.errors import ConfigError, NonRadialError
+from padicwave.errors import ConfigError, LizorkinError, NonRadialError
 from padicwave.functions import (
     CosetFunction,
     RadialShellFunction,
@@ -31,7 +33,9 @@ from padicwave.functions import (
 )
 from padicwave.lattice import enumerate_cosets
 from padicwave.padic import PrimeContext
-from padicwave.solver import eigenfunction
+from padicwave.solver import WaveProblem, eigenfunction
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def _rng_table(seed, ctx, n, M, ell):
@@ -41,17 +45,24 @@ def _rng_table(seed, ctx, n, M, ell):
     grid = enumerate_cosets(ctx, M, ell, n)
     return CosetFunction(
         grid,
-        {rep: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for rep in grid.representatives},
+        [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in grid.representatives],
     )
 
 
 def test_missing_values_default_to_zero_and_off_grid_keys_fail():
     ctx = PrimeContext(2)
-    grid = enumerate_cosets(ctx, 0, 1, 1)
-    f = CosetFunction(grid, {(Fraction(1),): Fraction(2)})
-    assert f.values[(Fraction(0),)] == 0
+    f = CosetFunction.from_values(ctx, 1, 0, 1, {(Fraction(1),): Fraction(2)})
+    assert f.values == (Fraction(0), Fraction(2))
+    with pytest.raises(ConfigError):  # outside B_0
+        CosetFunction.from_values(ctx, 1, 0, 1, {(Fraction(1, 2),): Fraction(1)})
+    with pytest.raises(ConfigError):  # inside B_0, in the coset of 1, but not its representative
+        CosetFunction.from_values(ctx, 1, 0, 1, {(Fraction(3),): Fraction(1)})
+
+
+def test_table_length_must_match_the_grid():
+    grid = enumerate_cosets(PrimeContext(2), 0, 1, 1)
     with pytest.raises(ConfigError):
-        CosetFunction(grid, {(Fraction(1, 2),): Fraction(1)})
+        CosetFunction(grid, [Fraction(1)])
 
 
 def test_unit_ball_indicator_evaluation():
@@ -87,6 +98,29 @@ def test_origin_vanishing_flag():
     assert is_in_Psi(scale(ball_indicator(ctx, 1, 0), Fraction(0)), 0.0)
 
 
+def test_zero_mean_flag_judges_exact_tables_exactly():
+    ctx = PrimeContext(2)
+    tiny = CosetFunction.from_values(ctx, 1, 0, 1, [1 + Fraction(2, 3 * 10**12), -1])
+    assert integrate(tiny) == Fraction(1, 3 * 10**12)
+    assert not is_in_Phi(tiny)
+    with pytest.raises(LizorkinError):
+        WaveProblem(ctx=ctx, n=1, alpha=1, K=1, u0=tiny)
+
+
+def test_zero_mean_flag_scales_with_float_data():
+    # zero mean up to the rounding of values near 1e7
+    grid = enumerate_cosets(PrimeContext(3), 1, 1, 1)
+    rng = random.Random(5)
+    raw = [rng.uniform(-1e7, 1e7) for _ in grid.representatives]
+    mean = sum(raw) / len(raw)
+    f = CosetFunction(grid, [v - mean for v in raw])
+    assert 1e-10 < abs(integrate(f)) < 1e-8
+    assert is_in_Phi(f)
+    WaveProblem(ctx=grid.ctx, n=1, alpha=1, K=1, u0=f)
+    off = CosetFunction(grid, [v - mean + 1.0 for v in raw])
+    assert not is_in_Phi(off)
+
+
 def test_zero_mean_flag_on_translation_differences():
     ctx = PrimeContext(3)
     f = _rng_table(11, ctx, 1, 1, 1)
@@ -115,8 +149,8 @@ def test_radial_profile_of_the_canonical_eigenfunction():
 def test_radial_profile_rejects_angular_dependence():
     ctx = PrimeContext(3)
     grid = enumerate_cosets(ctx, 0, 1, 1)
-    values = {rep: Fraction(0) for rep in grid.representatives}
-    values[(Fraction(1),)] = Fraction(1)  # 1 and 2 share the unit sphere
+    values = [Fraction(0)] * len(grid)
+    values[1] = Fraction(1)  # the cosets of 1 and 2 share the unit sphere
     with pytest.raises(NonRadialError):
         radial_profile(CosetFunction(grid, values))
 
@@ -149,8 +183,8 @@ def test_regrid_preserves_values_and_refuses_to_shrink():
     ctx = PrimeContext(2)
     f = _rng_table(3, ctx, 1, 0, 1)
     wide = regrid(f, 2, 2)
-    for rep in f.grid.representatives:
-        assert evaluate(wide, rep[0]) == f.values[rep]
+    for rep, v in f.items():
+        assert evaluate(wide, rep[0]) == v
     assert integrate(wide) == integrate(f)
     with pytest.raises(ConfigError):
         regrid(f, -1, 1)
@@ -174,6 +208,22 @@ def test_json_round_trip_is_exact(tmp_path):
     path = tmp_path / "table.json"
     save_coset_function(f, path)
     assert equal_exact(load_coset_function(path), f)
+
+
+def test_loader_names_a_coset_listed_twice():
+    doc = to_json_dict(_rng_table(4, PrimeContext(3), 1, 1, 1))
+    doc["values"][1]["digits"] = doc["values"][0]["digits"]
+    with pytest.raises(ConfigError, match="listed twice"):
+        from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "name", ["table-p3-n1-M2-ell1.json", "table-p3-n2-M1-ell1-complex.json"]
+)
+def test_saved_tables_load_and_save_byte_for_byte(name, tmp_path):
+    path = tmp_path / name
+    save_coset_function(load_coset_function(GOLDEN / name), path)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_radial_shell_function_normalize_trims_and_absorbs():

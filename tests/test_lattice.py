@@ -10,7 +10,6 @@ from padicwave.lattice import (
     SphereSpec,
     ball_character_integral,
     ball_volume,
-    coset_representative,
     enumerate_cosets,
     grid_cardinality,
     sphere_character_integral,
@@ -108,23 +107,43 @@ def test_grid_cap_env_override(monkeypatch):
     st.sampled_from([2, 5]),
     st.integers(min_value=-2, max_value=2),
     st.integers(min_value=-2, max_value=2),
-    st.fractions(min_value=-40, max_value=40, max_denominator=50),
+    st.lists(
+        st.fractions(min_value=-40, max_value=40, max_denominator=50),
+        min_size=1,
+        max_size=2,
+    ),
 )
-def test_representative_is_in_the_same_coset(p, M, ell, x):
+def test_position_names_the_coset_holding_the_point(p, M, ell, x):
     if M + ell < 0:
         ell = -M
     ctx = PrimeContext(p)
-    rep = coset_representative(ctx, M, ell, x)
-    xv = valuation(x, ctx)
-    if xv < -M:
-        assert rep is None
+    grid = enumerate_cosets(ctx, M, ell, len(x))
+    pos = grid.position(tuple(x))
+    if any(valuation(q, ctx) < -M for q in x):
+        assert pos is None
         return
-    grid = enumerate_cosets(ctx, M, ell, 1)
-    assert (rep,) in grid.representatives
-    # difference sits below the resolution
-    d = x - rep
-    if d != 0:
-        assert valuation(d, ctx) >= ell
+    # each coordinate's difference from the representative sits below the resolution
+    for q, r in zip(x, grid.representatives[pos]):
+        if q != r:
+            assert valuation(q - r, ctx) >= ell
+
+
+def test_position_of_each_representative_is_its_index():
+    for p in (2, 3, 5):
+        ctx = PrimeContext(p)
+        for n in (1, 2):
+            for M in range(-2, 3):
+                for ell in range(-M, 3):
+                    if p ** (n * (M + ell)) > 4000:
+                        continue
+                    grid = enumerate_cosets(ctx, M, ell, n)
+                    for i, rep in enumerate(grid.representatives):
+                        assert grid.position(rep) == i, (p, n, M, ell, rep)
+
+
+def test_enumerate_cosets_rejects_dimension_below_one():
+    with pytest.raises(ConfigError):
+        enumerate_cosets(PrimeContext(2), 1, 1, 0)
 
 
 def test_sphere_representatives_have_the_stated_norm():

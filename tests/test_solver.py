@@ -218,7 +218,7 @@ def test_auto_time_sweep_window():
 def test_auto_time_sweep_empty_spectrum_fallback():
     ctx = PrimeContext(2)
     grid = enumerate_cosets(ctx, 1, 1, 1)
-    zero = CosetFunction(grid, {rep: Fraction(0) for rep in grid.representatives})
+    zero = CosetFunction(grid, [Fraction(0) for _ in grid.representatives])
     prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=2, u0=zero)
     assert auto_time_sweep(prob) == range(-3, 5)
 
@@ -249,7 +249,7 @@ def test_l1_bound_holds_and_time_zero_is_isometric():
 def test_uniqueness_zero_data_stays_zero():
     ctx = PrimeContext(2)
     grid = enumerate_cosets(ctx, 1, 1, 1)
-    zero = CosetFunction(grid, {rep: Fraction(0) for rep in grid.representatives})
+    zero = CosetFunction(grid, [Fraction(0) for _ in grid.representatives])
     prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=1, u0=zero)
     report = uniqueness_smoke(prob)
     assert report.passed and report.max_abs == 0.0
@@ -276,7 +276,7 @@ def test_time_profile_tracks_the_multiplier():
     prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=K, u0=u0)
     x = (Fraction(0),)
     profile = time_profile(prob, x)
-    ux = u0.values[(Fraction(0),)]
+    ux = u0.values[u0.grid.position(x)]
     assert profile.value_at_exponent(NEG_INF) == ux
     for L in range(-6, 3):
         want = multiplier_value(K, L, K * N, ctx) * ux
@@ -302,11 +302,11 @@ def _zero_mean_table(rng, ctx, n, M, ell):
     grid = enumerate_cosets(ctx, M, ell, n)
     raw = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in grid.representatives]
     mean = sum(raw, Fraction(0)) / len(raw)
-    return CosetFunction(grid, {rep: v - mean for rep, v in zip(grid.representatives, raw)})
+    return CosetFunction(grid, [v - mean for v in raw])
 
 
 def _float_copy(f):
-    return CosetFunction(f.grid, {rep: float(v) for rep, v in f.items()})
+    return CosetFunction(f.grid, [float(v) for v in f.values])
 
 
 # (p, n, M, ell) of the seeded tables: every grid small enough for the O(N^2)
@@ -375,7 +375,7 @@ def test_averaging_equals_spectral_exactly(prob):
         got = solve_averaging(prob, L).field
         want = solve_spectral(prob, L, u0_hat).field
         assert got.values == want.values, L
-        assert all(isinstance(v, Fraction) for v in got.values.values())
+        assert all(isinstance(v, Fraction) for v in got.values)
 
 
 @pytest.mark.parametrize("prob", ROUTE_PROBLEMS, ids=_problem_id)
