@@ -7,158 +7,93 @@ round-trip bit for bit.  Floating point enters only when the data or the
 operator order forces it.
 """
 
-from .errors import (
-    ConfigError,
-    GridCapError,
-    LizorkinError,
-    NonRadialError,
-    PadicWaveError,
-    SpectralCompatibilityError,
-)
-from .fourier import forward, inverse, radial_inverse
-from .functions import (
-    CosetFunction,
-    RadialShellFunction,
-    add,
-    ball_indicator,
-    embed_radial,
-    equal_exact,
-    evaluate,
-    integrate,
-    is_in_Phi,
-    is_in_Psi,
-    l1_norm,
-    load_coset_function,
-    max_abs_diff,
-    radial_profile,
-    regrid,
-    save_coset_function,
-    scale,
-    sphere_indicator,
-    subtract,
-    translate,
-)
-from .lattice import (
-    BallSpec,
-    CosetGrid,
-    SphereSpec,
-    ball_character_integral,
-    ball_volume,
-    enumerate_cosets,
-    sphere_character_integral,
-    sphere_representatives,
-    sphere_volume,
-)
-from .padic import (
-    CharacterPhase,
-    PAdicScalar,
-    PrimeContext,
-    canonical_digits,
-    character,
-    fractional_part,
-    norm_exact,
-    norm_exponent,
-    padic_norm,
-    valuation,
-)
-from .phases import PhaseSum
-from .solver import (
-    PropagationMultiplier,
-    SolutionSlice,
-    T_ZERO,
-    WaveProblem,
-    auto_time_sweep,
-    dependence_check,
-    eigenfunction,
-    kernel_ball_integral,
-    kernel_closed_form,
-    kernel_oracle,
-    l1_bound_check,
-    multiplier_value,
-    solve_averaging,
-    solve_convolution,
-    solve_spectral,
-    time_profile,
-    uniqueness_smoke,
-)
-from .vladimirov import (
-    OperatorParams,
-    apply_hypersingular,
-    apply_hypersingular_field,
-    apply_spectral,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallSpec",
-    "CharacterPhase",
-    "ConfigError",
-    "CosetFunction",
-    "CosetGrid",
-    "GridCapError",
-    "LizorkinError",
-    "NonRadialError",
-    "OperatorParams",
-    "PAdicScalar",
-    "PadicWaveError",
-    "PhaseSum",
-    "PrimeContext",
-    "PropagationMultiplier",
-    "RadialShellFunction",
-    "SolutionSlice",
-    "SpectralCompatibilityError",
-    "SphereSpec",
-    "T_ZERO",
-    "WaveProblem",
-    "add",
-    "apply_hypersingular",
-    "apply_hypersingular_field",
-    "apply_spectral",
-    "auto_time_sweep",
-    "ball_character_integral",
-    "ball_indicator",
-    "ball_volume",
-    "canonical_digits",
-    "character",
-    "dependence_check",
-    "eigenfunction",
-    "embed_radial",
-    "enumerate_cosets",
-    "equal_exact",
-    "evaluate",
-    "forward",
-    "fractional_part",
-    "integrate",
-    "inverse",
-    "is_in_Phi",
-    "is_in_Psi",
-    "kernel_ball_integral",
-    "kernel_closed_form",
-    "kernel_oracle",
-    "l1_bound_check",
-    "l1_norm",
-    "load_coset_function",
-    "max_abs_diff",
-    "multiplier_value",
-    "norm_exact",
-    "norm_exponent",
-    "padic_norm",
-    "radial_inverse",
-    "radial_profile",
-    "regrid",
-    "save_coset_function",
-    "scale",
-    "solve_averaging",
-    "solve_convolution",
-    "solve_spectral",
-    "sphere_character_integral",
-    "sphere_indicator",
-    "sphere_representatives",
-    "sphere_volume",
-    "subtract",
-    "time_profile",
-    "translate",
-    "uniqueness_smoke",
-    "valuation",
-]
+# public name -> the submodule defining it; a submodule is imported on the
+# first access to one of its names (PEP 562), so ``padicwave solve`` loads
+# neither the Fourier layer nor the acceptance suite.
+_MODULE_OF = {
+    "BallSpec": "lattice",
+    "CharacterPhase": "padic",
+    "ConfigError": "errors",
+    "CosetFunction": "functions",
+    "CosetGrid": "lattice",
+    "GridCapError": "errors",
+    "LizorkinError": "errors",
+    "NonRadialError": "errors",
+    "OperatorParams": "vladimirov",
+    "PAdicScalar": "padic",
+    "PadicWaveError": "errors",
+    "PhaseSum": "phases",
+    "PrimeContext": "padic",
+    "PropagationMultiplier": "solver",
+    "RadialShellFunction": "functions",
+    "SolutionSlice": "solver",
+    "SpectralCompatibilityError": "errors",
+    "SphereSpec": "lattice",
+    "T_ZERO": "solver",
+    "WaveProblem": "solver",
+    "add": "functions",
+    "apply_hypersingular": "vladimirov",
+    "apply_hypersingular_field": "vladimirov",
+    "apply_spectral": "vladimirov",
+    "auto_time_sweep": "solver",
+    "ball_character_integral": "lattice",
+    "ball_indicator": "functions",
+    "ball_volume": "lattice",
+    "canonical_digits": "padic",
+    "character": "padic",
+    "dependence_check": "solver",
+    "eigenfunction": "solver",
+    "embed_radial": "functions",
+    "enumerate_cosets": "lattice",
+    "equal_exact": "functions",
+    "evaluate": "functions",
+    "forward": "fourier",
+    "fractional_part": "padic",
+    "integrate": "functions",
+    "inverse": "fourier",
+    "is_in_Phi": "functions",
+    "is_in_Psi": "functions",
+    "kernel_ball_integral": "solver",
+    "kernel_closed_form": "solver",
+    "kernel_oracle": "solver",
+    "l1_bound_check": "solver",
+    "l1_norm": "functions",
+    "load_coset_function": "functions",
+    "max_abs_diff": "functions",
+    "multiplier_value": "solver",
+    "norm_exact": "padic",
+    "norm_exponent": "padic",
+    "padic_norm": "padic",
+    "radial_inverse": "fourier",
+    "radial_profile": "functions",
+    "regrid": "functions",
+    "save_coset_function": "functions",
+    "scale": "functions",
+    "solve_averaging": "solver",
+    "solve_convolution": "solver",
+    "solve_spectral": "solver",
+    "sphere_character_integral": "lattice",
+    "sphere_indicator": "functions",
+    "sphere_representatives": "lattice",
+    "sphere_volume": "lattice",
+    "subtract": "functions",
+    "time_profile": "solver",
+    "translate": "functions",
+    "uniqueness_smoke": "solver",
+    "valuation": "padic",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -38,7 +38,7 @@ from .lattice import (
     vector_norm_exponent,
 )
 from .padic import NEG_INF, PrimeContext, rational_fractional_part
-from .phases import PhaseSum, value_scale, value_to_complex, values_equal
+from .phases import PhaseSum, rational_value, value_scale, value_to_complex, values_equal
 from .solver import (
     T_ZERO,
     WaveProblem,
@@ -75,20 +75,26 @@ def _ball_sum_1d(ctx: PrimeContext, gamma: int, xi: Fraction):
     """Direct coset sum of chi(xi*x) over the 1-dim ball |x| <= p**gamma.
 
     Resolution is chosen fine enough that the character is constant on each
-    coset; the sum is then exact by construction.  Returns a Fraction (the
-    closed forms are rational, so a sum that fails to reduce is a failure).
+    coset; the sum is then exact by construction.  The representatives are
+    x = a * p**-gamma for integers a in [0, p**W), W = gamma + ell, so the
+    phase {xi*x}_p is a * {xi * p**-gamma}_p mod 1: with that step written
+    s / Q, coset a contributes exp(2*pi*i * (a*s mod Q) / Q).  Returns a
+    Fraction (the closed forms are rational, so a sum that fails to reduce
+    is a failure).
     """
-    e = vector_norm_exponent((xi,), ctx.p)
+    p = ctx.p
+    e = vector_norm_exponent((xi,), p)
     ell = max(-gamma, 0 if e == NEG_INF else int(e))
-    grid = enumerate_cosets(ctx, gamma, ell, 1)
-    acc: dict[Fraction, Fraction] = {}
-    for (rep,) in grid.representatives:
-        ph = rational_fractional_part(xi * rep, ctx.p)
-        acc[ph] = acc.get(ph, Fraction(0)) + 1
-    total = PhaseSum(ctx.p, acc).as_rational()
+    step = rational_fractional_part(xi * Fraction(p) ** -gamma, p)
+    big_q, s = step.denominator, step.numerator
+    acc: dict[int, int] = {}
+    for a in range(p ** (gamma + ell)):
+        k = a * s % big_q
+        acc[k] = acc.get(k, 0) + 1
+    total = rational_value(acc, big_q, p)
     if total is None:
         return None
-    return total * grid.coset_volume
+    return total * Fraction(p) ** -ell
 
 
 def _ball_sum(ctx: PrimeContext, n: int, gamma: int, xi_vec) -> Fraction | None:

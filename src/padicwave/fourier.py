@@ -6,70 +6,100 @@ on cosets of B_{-ell}^n transforms onto the swapped grid: supported in
 B_ell^n, constant on cosets of B_{-M}^n, so the transform is one finite
 matrix-free double loop.
 
-When the input table is exact the whole sum is accumulated as exact phases
-(see phases.PhaseSum) and each output value collapses back to a Fraction
-whenever it is rational; round trips on rational data are bit-exact.
+When the input table is exact the whole sum is accumulated exactly, as
+integer phase indices with integer coefficients, and each output value is a
+Fraction whenever it is rational (a phases.PhaseSum otherwise); round trips
+on rational data are bit-exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .functions import CosetFunction, RadialShellFunction
 from .lattice import enumerate_cosets
-from .padic import phase_to_complex, rational_fractional_part
-from .phases import PhaseSum, reduce_value, value_add, value_scale, value_to_complex
+from .padic import phase_to_complex
+from .phases import (
+    PhaseSum,
+    rational_value,
+    reduce_value,
+    value_add,
+    value_scale,
+    value_to_complex,
+)
 
 _ZERO = Fraction(0)
 
 
-def _pair_phase(xi, x, p: int, sign: int, cache: dict) -> Fraction:
-    total = _ZERO
-    for u, v in zip(xi, x):
-        key = (u, v)
-        ph = cache.get(key)
-        if ph is None:
-            ph = rational_fractional_part(u * v, p)
-            cache[key] = ph
-        total += ph
-    total = total % 1
-    return total if sign > 0 else (-total) % 1
+def _digit_coordinates(reps, scale: Fraction) -> list[tuple[int, ...]]:
+    """Each representative's coordinates times scale, as integers."""
+    return [tuple(int(c * scale) for c in rep) for rep in reps]
 
 
 def _transform(f: CosetFunction, sign: int) -> CosetFunction:
+    """Coset sum of chi_p(sign * xi . x) f(x) on the swapped grid.
+
+    With W = M + ell, a_j = x_j * p**M and b_j = xi_j * p**ell are integers,
+    and the phase {xi . x}_p is (sum_j a_j * b_j mod p**W) / p**W.  Every
+    phase is carried as an integer index k mod Q (Q = p**W, or a finer power
+    of p when a PhaseSum value has finer phases), and the exact sums as
+    integer coefficients over one common denominator.
+    """
     ctx, n = f.ctx, f.n
-    p = ctx.p
-    out_grid = enumerate_cosets(ctx, f.resolution_exp, f.support_exp, n)
+    p, M, ell = ctx.p, f.support_exp, f.resolution_exp
+    out_grid = enumerate_cosets(ctx, ell, M, n)
     vol = f.grid.coset_volume
-    in_items = [(rep, v) for rep, v in f.items()]
-    phase_cache: dict = {}
+    width_q = p ** (M + ell)
+    in_a = _digit_coordinates(f.grid.representatives, Fraction(p) ** M)
+    out_b = _digit_coordinates(out_grid.representatives, Fraction(p) ** ell)
     out_values = []
     if f.is_exact():
-        for xi in out_grid.representatives:
-            acc: dict[Fraction, Fraction] = {}
-            for x, val in in_items:
-                if val == 0:
-                    continue
-                ph = _pair_phase(xi, x, p, sign, phase_cache)
-                if isinstance(val, PhaseSum):
-                    for q, c in val.terms.items():
-                        key = (q + ph) % 1
-                        acc[key] = acc.get(key, _ZERO) + c
-                else:
-                    acc[ph] = acc.get(ph, _ZERO) + val
-            out_values.append(reduce_value(PhaseSum(p, acc).scaled(vol)))
+        # each nonzero input as its phase terms; a zero input adds no term
+        inputs = [
+            (a, v.terms if isinstance(v, PhaseSum) else {_ZERO: v})
+            for a, v in zip(in_a, f.values)
+            if v != 0
+        ]
+        big_q = max([width_q] + [q.denominator for _, t in inputs for q in t])
+        den = math.lcm(*(c.denominator for _, t in inputs for c in t.values()))
+        lift = big_q // width_q
+        terms = [
+            (
+                tuple(sign * lift * aj for aj in a),
+                [
+                    (q.numerator * (big_q // q.denominator), c.numerator * (den // c.denominator))
+                    for q, c in t.items()
+                ],
+            )
+            for a, t in inputs
+        ]
+        for b in out_b:
+            acc: dict[int, int] = {}
+            for a, v_terms in terms:
+                k = sum(map(mul, a, b))
+                for kq, c in v_terms:
+                    key = (k + kq) % big_q
+                    acc[key] = acc.get(key, 0) + c
+            r = rational_value(acc, big_q, p)
+            if r is not None:
+                out_values.append(Fraction(r, den) * vol)
+            else:
+                out_values.append(PhaseSum(
+                    p, {Fraction(k, big_q): Fraction(c, den) * vol for k, c in acc.items()}
+                ))
     else:
-        cis_cache: dict[Fraction, complex] = {}
+        roots = [phase_to_complex(Fraction(k, width_q)) for k in range(width_q)]
+        inputs = [
+            (tuple(sign * aj for aj in a), value_to_complex(v))
+            for a, v in zip(in_a, f.values)
+        ]
         fvol = float(vol)
-        for xi in out_grid.representatives:
+        for b in out_b:
             acc_c = 0j
-            for x, val in in_items:
-                ph = _pair_phase(xi, x, p, sign, phase_cache)
-                w = cis_cache.get(ph)
-                if w is None:
-                    w = phase_to_complex(ph)
-                    cis_cache[ph] = w
-                acc_c += value_to_complex(val) * w
+            for a, c in inputs:
+                acc_c += c * roots[sum(map(mul, a, b)) % width_q]
             out_values.append(acc_c * fvol)
     return CosetFunction(out_grid, out_values)
 

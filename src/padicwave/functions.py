@@ -139,12 +139,17 @@ def integrate(f: CosetFunction):
     cancel; complex otherwise.
     """
     vol = f.grid.coset_volume
+    values = f.values
+    if all(isinstance(v, Fraction) for v in values):
+        # integers over one common denominator, as in CosetAverages
+        den = math.lcm(*(v.denominator for v in values))
+        return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den) * vol
     if f.is_exact():
         acc = Fraction(0)
-        for v in f.values:
+        for v in values:
             acc = value_add(acc, v)
         return reduce_value(value_scale(acc, vol))
-    return sum(value_to_complex(v) for v in f.values) * float(vol)
+    return sum(value_to_complex(v) for v in values) * float(vol)
 
 
 def l1_norm(f: CosetFunction):

@@ -81,8 +81,8 @@ class PhaseSum:
         if m == 0:
             return self.terms.get(_ZERO, _ZERO)
         big_q = self.p**m
-        coeffs = {int(q * big_q): c for q, c in self.terms.items()}
-        return _as_rational(coeffs, big_q, self.p)
+        coeffs = {q.numerator * (big_q // q.denominator): c for q, c in self.terms.items()}
+        return rational_value(coeffs, big_q, self.p)
 
     def is_zero(self) -> bool:
         return self.as_rational() == 0
@@ -119,8 +119,13 @@ def _p_power_exponent(den: int, p: int) -> int:
     return m
 
 
-def _as_rational(coeffs: dict[int, Fraction], big_q: int, p: int) -> Fraction | None:
-    # coeffs maps exponents a (mod big_q) of zeta_{big_q} to coefficients
+def rational_value(coeffs: dict, big_q: int, p: int):
+    """The rational value of sum_a coeffs[a] * zeta**a, or None if it is irrational.
+
+    zeta = exp(2*pi*i/big_q) with big_q a power of p, and the keys a are
+    integers in [0, big_q).  The coefficients may be ints or Fractions;
+    the value is exact, an int or a Fraction.
+    """
     if big_q == 1:
         return coeffs.get(0, _ZERO)
     if big_q == p:
@@ -140,7 +145,7 @@ def _as_rational(coeffs: dict[int, Fraction], big_q: int, p: int) -> Fraction | 
     for r in range(1, p):
         if not _is_zero(parts[r], smaller, p):
             return None
-    return _as_rational(parts[0], smaller, p)
+    return rational_value(parts[0], smaller, p)
 
 
 def _is_zero(coeffs: dict[int, Fraction], big_q: int, p: int) -> bool:

@@ -33,7 +33,6 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConfigError, LizorkinError, SpectralCompatibilityError
-from .fourier import forward, inverse
 from .functions import (
     PHI_TOL,
     CosetAverages,
@@ -57,6 +56,17 @@ from .phases import (
 )
 
 T_ZERO = NEG_INF  # time label for t = 0: |t| = 0, every mode multiplier is 1
+
+
+def __getattr__(name: str):
+    # Only the spectral oracle transforms, so the Fourier layer is imported on
+    # first use and ``padicwave solve`` never loads it; ``solver.forward`` and
+    # ``solver.inverse`` stay available as module attributes.
+    if name in ("forward", "inverse"):
+        from . import fourier
+
+        return getattr(fourier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -320,6 +330,8 @@ def solve_averaging(prob: WaveProblem, L) -> SolutionSlice:
 
 def spectral_data(prob: WaveProblem) -> CosetFunction:
     """Fourier transform of the initial data (compute once, reuse per slice)."""
+    from .fourier import forward
+
     return forward(prob.u0)
 
 
@@ -327,6 +339,8 @@ def solve_spectral(
     prob: WaveProblem, L, u0_hat: CosetFunction | None = None
 ) -> SolutionSlice:
     """Slice at |t| = p**L by damping each frequency sphere and inverting (oracle)."""
+    from .fourier import inverse
+
     if u0_hat is None:
         u0_hat = spectral_data(prob)
     b = prob.multiplier()

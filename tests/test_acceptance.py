@@ -1,10 +1,18 @@
-"""One test per top-level acceptance check, each printing its verdict line.
+"""One test per top-level acceptance check, each printing its verdict line,
+plus the fast ball-sum oracle against its one-Fraction-per-coset reference.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines
 with their detail strings; the whole file is the release gate.
 """
 
+from fractions import Fraction
+
+import pytest
+
 from padicwave import acceptance
+from padicwave.lattice import enumerate_cosets, vector_norm_exponent
+from padicwave.padic import NEG_INF, PrimeContext, rational_fractional_part
+from padicwave.phases import PhaseSum
 
 
 def report(r):
@@ -61,3 +69,34 @@ def test_kernel_identity_catches_an_injected_fault():
     r = acceptance.check_kernel_identity(bracket="floor")
     assert not r.passed
     assert "mismatch" in r.detail
+
+
+def _reference_ball_sum_1d(ctx, gamma, xi):
+    """The 1-dim coset sum with one Fraction phase {xi*x}_p per representative."""
+    e = vector_norm_exponent((xi,), ctx.p)
+    ell = max(-gamma, 0 if e == NEG_INF else int(e))
+    grid = enumerate_cosets(ctx, gamma, ell, 1)
+    acc = {}
+    for (rep,) in grid.representatives:
+        ph = rational_fractional_part(xi * rep, ctx.p)
+        acc[ph] = acc.get(ph, Fraction(0)) + 1
+    total = PhaseSum(ctx.p, acc).as_rational()
+    return None if total is None else total * grid.coset_volume
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ball_sum_matches_the_fraction_phase_reference(p):
+    # the frequencies of check_integration_formulas, and xi = 0; the reference
+    # sums over p**max(0, gamma + e) cosets, so the largest p=5 sums are left out
+    ctx = PrimeContext(p)
+    for gamma in range(-3, 4):
+        xis = [Fraction(0)] + [
+            u * Fraction(p) ** -e
+            for e in range(-4, 5)
+            if p ** max(0, gamma + e) <= 5**5
+            for u in (Fraction(1), Fraction(p + 1))
+        ]
+        for xi in xis:
+            got = acceptance._ball_sum_1d(ctx, gamma, xi)
+            assert got == _reference_ball_sum_1d(ctx, gamma, xi)
+            assert isinstance(got, Fraction)

@@ -293,3 +293,36 @@ def test_near_integer_exact_ratio_is_refused(tmp_path, capsys):
     cfg.write_text(json.dumps({"alpha": 1 / 3, "beta": 1.000000000001}))
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "summary.json").read_text())["K"] == 3
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+
+
+def test_cli_import_leaves_the_fourier_layer_and_the_suite_unloaded():
+    proc = _run_python(
+        "import sys, padicwave.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('padicwave.')))"
+    )
+    loaded = proc.stdout
+    assert "padicwave.solver" in loaded
+    for module in ("padicwave.acceptance", "padicwave.vladimirov", "padicwave.fourier"):
+        assert module not in loaded
+
+
+def test_every_public_name_resolves():
+    import padicwave
+    from padicwave import fourier
+
+    namespace = {}
+    exec("from padicwave import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(padicwave.__all__)
+    assert len(padicwave.__all__) == 70
+    assert padicwave.forward is fourier.forward
+    with pytest.raises(AttributeError):
+        padicwave.no_such_name

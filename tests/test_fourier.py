@@ -22,7 +22,8 @@ from padicwave.functions import (
     translate,
 )
 from padicwave.lattice import enumerate_cosets
-from padicwave.padic import PrimeContext
+from padicwave.padic import PrimeContext, phase_to_complex, rational_fractional_part
+from padicwave.phases import PhaseSum, reduce_value, value_to_complex
 from padicwave.solver import eigenfunction
 
 
@@ -146,3 +147,86 @@ def test_transform_requires_matching_space():
     f = ball_indicator(ctx, 1, 0)
     with pytest.raises(ConfigError):
         subtract(f, ball_indicator(PrimeContext(3), 1, 0))
+
+
+def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:
+    """The transform with one Fraction phase {xi . x}_p per coset pair."""
+    p = f.ctx.p
+    out_grid = enumerate_cosets(f.ctx, f.resolution_exp, f.support_exp, f.n)
+    vol = f.grid.coset_volume
+    exact = f.is_exact()
+    cache = {}
+
+    def phase(xi, x):
+        total = Fraction(0)
+        for u, v in zip(xi, x):
+            if (u, v) not in cache:
+                cache[u, v] = rational_fractional_part(u * v, p)
+            total += cache[u, v]
+        return (sign * total) % 1
+
+    out_values = []
+    for xi in out_grid.representatives:
+        if exact:
+            acc = {}
+            for x, val in f.items():
+                if val == 0:
+                    continue
+                ph = phase(xi, x)
+                terms = val.terms if isinstance(val, PhaseSum) else {Fraction(0): val}
+                for q, c in terms.items():
+                    key = (q + ph) % 1
+                    acc[key] = acc.get(key, Fraction(0)) + c
+            out_values.append(reduce_value(PhaseSum(p, acc).scaled(vol)))
+        else:
+            acc_c = 0j
+            for x, val in f.items():
+                acc_c += value_to_complex(val) * phase_to_complex(phase(xi, x))
+            out_values.append(acc_c * float(vol))
+    return CosetFunction(out_grid, out_values)
+
+
+def _transform_cases(p: int, n: int):
+    """Rational, PhaseSum (grid and finer phases) and complex tables on every
+    grid with M, ell in [-2, 2] and at most 64 cosets."""
+    rng = random.Random(p * 10 + n)
+    for M in range(-2, 3):
+        for ell in range(-2, 3):
+            width = M + ell
+            if width < 0 or p ** (n * width) > 64:
+                continue
+            grid = enumerate_cosets(PrimeContext(p), M, ell, n)
+
+            def value(extra: int):
+                if rng.random() < 0.3:
+                    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                q = p ** (width + extra)
+                return PhaseSum(p, {
+                    Fraction(rng.randrange(q), q): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 3))
+                })
+
+            yield CosetFunction(
+                grid, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(len(grid))]
+            )
+            yield CosetFunction(grid, [value(0) for _ in range(len(grid))])
+            yield CosetFunction(grid, [value(2) for _ in range(len(grid))])
+            yield CosetFunction(
+                grid, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(len(grid))]
+            )
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_transform_matches_the_fraction_phase_reference(p, n):
+    # same type and value per coset; a PhaseSum keeps the very same terms, in
+    # the same order, so its complex value is the same float as well
+    for f in _transform_cases(p, n):
+        for transform, sign in ((forward, 1), (inverse, -1)):
+            got, want = transform(f), _reference_transform(f, sign)
+            assert got.grid == want.grid
+            for g, w in zip(got.values, want.values):
+                assert type(g) is type(w)
+                if isinstance(w, PhaseSum):
+                    assert list(g.terms.items()) == list(w.terms.items())
+                else:
+                    assert g == w
