@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 # neither the Fourier layer nor the acceptance suite.
 _MODULE_OF = {
     "BallSpec": "lattice",
-    "CharacterPhase": "padic",
     "ConfigError": "errors",
     "CosetFunction": "functions",
     "CosetGrid": "lattice",
@@ -24,7 +23,6 @@ _MODULE_OF = {
     "LizorkinError": "errors",
     "NonRadialError": "errors",
     "OperatorParams": "vladimirov",
-    "PAdicScalar": "padic",
     "PadicWaveError": "errors",
     "PhaseSum": "phases",
     "PrimeContext": "padic",

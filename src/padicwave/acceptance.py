@@ -16,7 +16,6 @@ make the kernel check fail.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpectralCompatibilityError
@@ -60,11 +59,15 @@ from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectra
 DEFAULT_SEED = 20260819
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    """Outcome of one check; treat as immutable."""
+
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 # ---------------------------------------------------------------------------

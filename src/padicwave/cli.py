@@ -78,8 +78,18 @@ def _parsed(key: str, parse, raw):
     """parse(raw), with a failure reported as a ConfigError naming the key."""
     try:
         return parse(raw)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{key}: cannot read {raw!r}") from exc
+
+
+def _integer(raw) -> int:
+    """int(raw) for an integer, an integral float or an integer string.
+
+    A boolean or a fractional number is refused rather than truncated.
+    """
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return int(raw)
 
 
 def _list_of(kind):
@@ -122,15 +132,15 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self.p = _parsed("p", int, doc.get("p", 2))
-        self.n = _parsed("n", int, doc.get("n", 1))
+        self.p = _parsed("p", _integer, doc.get("p", 2))
+        self.n = _parsed("n", _integer, doc.get("n", 1))
         self.alpha = _parse_number(doc.get("alpha", 1))
         self.beta = _parse_number(doc["beta"]) if "beta" in doc else None
-        self.K = _parsed("K", int, doc.get("K", 1))
+        self.K = _parsed("K", _integer, doc.get("K", 1))
         self.u0_spec = str(doc.get("u0_spec", "sphere-indicator 1"))
         self.sweep = doc.get("sweep", "auto")
         if self.sweep != "auto":
-            self.sweep = _parsed("sweep", _list_of(int), self.sweep)
+            self.sweep = _parsed("sweep", _list_of(_integer), self.sweep)
         self.output = str(doc.get("output", "padicwave-out"))
         tols = doc.get("tolerances", {})
         if not isinstance(tols, dict):
@@ -143,7 +153,7 @@ class RunConfig:
         self.profile_points = _parsed(
             "profile_points", _list_of(str), doc.get("profile_points", [])
         )
-        self.seed = _parsed("seed", int, doc.get("seed", 20260819))
+        self.seed = _parsed("seed", _integer, doc.get("seed", 20260819))
         _check_dimension(self.n)
 
 
@@ -219,7 +229,12 @@ def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
     path = Path(cfg.u0_spec)
     if not path.exists():
         raise ConfigError(f"u0_spec {cfg.u0_spec!r} is neither a builtin nor a file")
-    f = load_coset_function(path)
+    try:
+        f = load_coset_function(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read u0_spec {cfg.u0_spec!r}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"u0_spec {cfg.u0_spec!r} is not a JSON table: {exc}") from exc
     if f.ctx.p != cfg.p or f.n != cfg.n:
         raise ConfigError(
             f"table at {path} is for p={f.ctx.p} n={f.n}, config says p={cfg.p} n={cfg.n}"

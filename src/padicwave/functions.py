@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -157,7 +156,9 @@ def l1_norm(f: CosetFunction):
     vol = f.grid.coset_volume
     vals = f.values
     if all(isinstance(v, Fraction) for v in vals):
-        return sum(abs(v) for v in vals) * vol
+        # integers over one common denominator, as in integrate
+        den = math.lcm(*(v.denominator for v in vals))
+        return Fraction(sum(abs(v.numerator) * (den // v.denominator) for v in vals), den) * vol
     return sum(abs(value_to_complex(v)) for v in vals) * float(vol)
 
 
@@ -340,25 +341,22 @@ class CosetAverages:
 # -- radial functions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RadialShellFunction:
     """Radial function: core value below, one value per shell, zero above.
 
     shells[i] is the value on the sphere of radius p**(shell_lo + i); the
     core value holds on all of B_{shell_lo - 1} including the origin, and
-    the function vanishes on every sphere above p**shell_hi.
+    the function vanishes on every sphere above p**shell_hi.  Treat as
+    immutable.
     """
 
-    ctx: PrimeContext
-    core_value: object
-    shells: tuple
-    shell_lo: int
+    __slots__ = ("ctx", "core_value", "shells", "shell_lo")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "core_value", _normalize_value(self.core_value))
-        object.__setattr__(
-            self, "shells", tuple(_normalize_value(v) for v in self.shells)
-        )
+    def __init__(self, ctx: PrimeContext, core_value, shells, shell_lo: int):
+        self.ctx = ctx
+        self.core_value = _normalize_value(core_value)
+        self.shells = tuple(_normalize_value(v) for v in shells)
+        self.shell_lo = shell_lo
 
     @property
     def shell_hi(self) -> int:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError, GridCapError
-from .padic import NEG_INF, PAdicScalar, PrimeContext, rational_valuation
+from .padic import NEG_INF, PrimeContext, rational_valuation
 
 DEFAULT_GRID_CAP = 10**6
 GRID_CAP_ENV = "PADICWAVE_GRID_CAP"
@@ -41,15 +40,11 @@ def grid_cap() -> int:
 
 def as_fraction_vector(x, n: int) -> tuple[Fraction, ...]:
     """Normalize a point of Q_p^n to a tuple of Fractions."""
-    if isinstance(x, PAdicScalar):
-        x = x.value
     if isinstance(x, (int, Fraction, str)):
         if n != 1:
             raise ConfigError(f"expected an {n}-vector, got a scalar")
         return (Fraction(x),)
-    coords = tuple(
-        c.value if isinstance(c, PAdicScalar) else Fraction(c) for c in x
-    )
+    coords = tuple(Fraction(c) for c in x)
     if len(coords) != n:
         raise ConfigError(f"expected an {n}-vector, got {len(coords)} coordinates")
     return coords
@@ -65,41 +60,65 @@ def vector_norm_exponent(vec: tuple[Fraction, ...], p: int):
     return best
 
 
-@dataclass(frozen=True)
 class BallSpec:
-    """B_gamma^n = {x : |x|_p <= p**gamma}."""
+    """B_gamma^n = {x : |x|_p <= p**gamma}; treat as immutable."""
 
-    ctx: PrimeContext
-    n: int
-    radius_exp: int
+    __slots__ = ("ctx", "n", "radius_exp")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.n}")
+    def __init__(self, ctx: PrimeContext, n: int, radius_exp: int):
+        if n < 1:
+            raise ConfigError(f"dimension must be >= 1, got {n}")
+        self.ctx = ctx
+        self.n = n
+        self.radius_exp = radius_exp
 
 
-@dataclass(frozen=True)
 class SphereSpec:
-    """S_gamma^n = {x : |x|_p = p**gamma}."""
+    """S_gamma^n = {x : |x|_p = p**gamma}; treat as immutable."""
 
-    ctx: PrimeContext
-    n: int
-    radius_exp: int
+    __slots__ = ("ctx", "n", "radius_exp")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.n}")
+    def __init__(self, ctx: PrimeContext, n: int, radius_exp: int):
+        if n < 1:
+            raise ConfigError(f"dimension must be >= 1, got {n}")
+        self.ctx = ctx
+        self.n = n
+        self.radius_exp = radius_exp
 
 
-@dataclass(frozen=True)
 class CosetGrid:
-    """Representatives of B_M^n modulo B_{-ell}^n, in enumeration order."""
+    """Representatives of B_M^n modulo B_{-ell}^n, in enumeration order.
 
-    ctx: PrimeContext
-    n: int
-    support_exp: int
-    resolution_exp: int
-    representatives: tuple[tuple[Fraction, ...], ...]
+    Treat as immutable.  Two grids are equal, and hash alike, when their
+    (ctx, n, support_exp, resolution_exp) are: those fix the representatives.
+    """
+
+    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "representatives")
+
+    def __init__(
+        self,
+        ctx: PrimeContext,
+        n: int,
+        support_exp: int,
+        resolution_exp: int,
+        representatives: tuple[tuple[Fraction, ...], ...],
+    ):
+        self.ctx = ctx
+        self.n = n
+        self.support_exp = support_exp
+        self.resolution_exp = resolution_exp
+        self.representatives = representatives
+
+    def _key(self) -> tuple:
+        return (self.ctx, self.n, self.support_exp, self.resolution_exp)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def coset_volume(self) -> Fraction:

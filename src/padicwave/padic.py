@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -36,75 +35,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PrimeContext:
-    """Fixes the prime p for every operation downstream."""
+    """Fixes the prime p for every operation downstream; treat as immutable.
 
-    p: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ConfigError(f"p must be a prime integer, got {self.p!r}")
-
-    def scalar(self, value) -> "PAdicScalar":
-        return PAdicScalar(self, Fraction(value))
-
-
-@dataclass(frozen=True)
-class PAdicScalar:
-    """A rational number together with its prime context.
-
-    ``Fraction`` keeps the value in lowest terms automatically, which the
-    valuation fast paths below rely on.
+    Two contexts are equal, and hash alike, when their primes are: a context
+    keys the grid cache and is compared wherever two tables meet.
     """
 
-    ctx: PrimeContext
-    value: Fraction
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ConfigError(f"p must be a prime integer, got {p!r}")
+        self.p = p
 
-    def valuation(self):
-        return valuation(self)
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
 
-    def norm(self) -> float:
-        return padic_norm(self)
-
-    def digits(self, count: int):
-        return canonical_digits(self, count)
-
-    def fractional_part(self) -> Fraction:
-        return fractional_part(self)
-
-    def character(self):
-        return character(self)
-
-
-@dataclass(frozen=True)
-class CharacterPhase:
-    """Exact phase q of a character value exp(2*pi*i*q).
-
-    The phase sits in [0, 1) and its denominator is a power of p, because it
-    arises as the fractional part of a p-adic rational.
-    """
-
-    p: int
-    phase: Fraction
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.phase < 1):
-            raise ConfigError(f"phase must lie in [0,1), got {self.phase}")
-        den = self.phase.denominator
-        while den % self.p == 0:
-            den //= self.p
-        if den != 1:
-            raise ConfigError(
-                f"phase denominator must be a power of {self.p}, got {self.phase}"
-            )
-
-    def to_complex(self) -> complex:
-        return phase_to_complex(self.phase)
+    def __hash__(self) -> int:
+        return hash(self.p)
 
 
 def phase_to_complex(phase: Fraction) -> complex:
@@ -117,11 +68,9 @@ def phase_to_complex(phase: Fraction) -> complex:
 
 
 def _coerce(x, ctx: PrimeContext | None = None) -> tuple[Fraction, int]:
-    """Accept PAdicScalar, Fraction, int, or str; return (value, p)."""
-    if isinstance(x, PAdicScalar):
-        return x.value, x.ctx.p
+    """Accept Fraction, int, or str; return (value, p)."""
     if ctx is None:
-        raise TypeError("a PrimeContext is required when x is a bare rational")
+        raise TypeError("a PrimeContext is required")
     return Fraction(x), ctx.p
 
 
@@ -235,9 +184,10 @@ def fractional_part(x, ctx: PrimeContext | None = None) -> Fraction:
 def character(x, ctx: PrimeContext | None = None):
     """Additive character value chi_p(x) = exp(2*pi*i*{x}_p).
 
-    Returns (complex value, CharacterPhase).  The phase is exact; use it
-    whenever downstream arithmetic wants to stay rational.
+    Returns (complex value, phase), the phase {x}_p being an exact Fraction in
+    [0, 1) whose denominator is a power of p; use it whenever downstream
+    arithmetic wants to stay rational.
     """
     q, p = _coerce(x, ctx)
     phase = rational_fractional_part(q, p)
-    return phase_to_complex(phase), CharacterPhase(p, phase)
+    return phase_to_complex(phase), phase

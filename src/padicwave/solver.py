@@ -28,7 +28,6 @@ radial kernel.  All three agree, exactly on rational data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -74,16 +73,16 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
 class PropagationMultiplier:
-    """The diagonal symbol b(|t|, |xi|) for one coupling constant K."""
+    """The diagonal symbol b(|t|, |xi|) for one coupling constant K; treat as immutable."""
 
-    ctx: PrimeContext
-    K: int
+    __slots__ = ("ctx", "K")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ConfigError(f"the coupling K must be a positive integer, got {self.K}")
+    def __init__(self, ctx: PrimeContext, K: int):
+        if not isinstance(K, int) or K < 1:
+            raise ConfigError(f"the coupling K must be a positive integer, got {K}")
+        self.ctx = ctx
+        self.K = K
 
     def value(self, L, N) -> Fraction:
         """b at |t| = p**L, |xi| = p**N.  L or N may be minus infinity."""
@@ -226,32 +225,34 @@ def kernel_ball_integral(
 # the Cauchy problem
 
 
-@dataclass(frozen=True)
 class WaveProblem:
-    """Zero-mean initial data plus the operator orders driving its evolution."""
+    """Zero-mean initial data plus the operator orders driving its evolution.
 
-    ctx: PrimeContext
-    n: int
-    alpha: object
-    K: int
-    u0: CosetFunction
+    Treat as immutable; the instance dictionary holds only the cached
+    properties below.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"the dimension n must be a positive integer, got {self.n}")
-        if not isinstance(self.K, int) or self.K < 1:
+    def __init__(self, ctx: PrimeContext, n: int, alpha, K: int, u0: CosetFunction):
+        if not isinstance(n, int) or n < 1:
+            raise ConfigError(f"the dimension n must be a positive integer, got {n}")
+        if not isinstance(K, int) or K < 1:
             raise ConfigError(
-                f"the coupling K must be a positive integer, got {self.K}"
+                f"the coupling K must be a positive integer, got {K}"
             )
-        if not float(self.alpha) > 0:
-            raise ConfigError(f"the temporal order must be positive, got {self.alpha}")
-        if self.u0.ctx != self.ctx or self.u0.n != self.n:
+        if not float(alpha) > 0:
+            raise ConfigError(f"the temporal order must be positive, got {alpha}")
+        if u0.ctx != ctx or u0.n != n:
             raise ConfigError("initial data lives on a different space")
-        if not is_in_Phi(self.u0):
+        if not is_in_Phi(u0):
             raise LizorkinError(
                 "initial data must have zero mean: integral = "
-                f"{value_to_complex(integrate(self.u0)):.3e}"
+                f"{value_to_complex(integrate(u0)):.3e}"
             )
+        self.ctx = ctx
+        self.n = n
+        self.alpha = alpha
+        self.K = K
+        self.u0 = u0
 
     @property
     def beta(self):
@@ -273,9 +274,12 @@ class WaveProblem:
         else:
             ratio = float(beta) / float(alpha)
             shown = f"{ratio:.6g}"
-            integral = abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
-        K = round(ratio)
-        if K < 1 or not integral:
+            # a tiny alpha can make the ratio overflow to inf, which has no round()
+            integral = math.isfinite(ratio) and (
+                abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+            )
+        K = round(ratio) if integral else 0
+        if K < 1:
             raise SpectralCompatibilityError(
                 f"beta/alpha = {shown} is not a positive integer; the "
                 "separated modes then all collapse and the problem admits "
@@ -297,12 +301,14 @@ class WaveProblem:
         return l1_norm(self.u0)
 
 
-@dataclass(frozen=True)
 class SolutionSlice:
-    """The spatial field at one time magnitude."""
+    """The spatial field at one time magnitude; treat as immutable."""
 
-    L: object  # int, or T_ZERO
-    field: CosetFunction
+    __slots__ = ("L", "field")
+
+    def __init__(self, L, field: CosetFunction):
+        self.L = L  # int, or T_ZERO
+        self.field = field
 
 
 def solve_averaging(prob: WaveProblem, L) -> SolutionSlice:
@@ -418,15 +424,17 @@ def auto_time_sweep(prob: WaveProblem) -> range:
     return range(lo, hi + 1)
 
 
-@dataclass(frozen=True)
 class DependenceReport:
-    """Outcome of the finite-speed-of-support check for one data ball."""
+    """Outcome of the finite-speed-of-support check for one data ball; treat as immutable."""
 
-    N: int
-    data_confined: bool
-    swept: tuple
-    max_leak: float
-    passed: bool
+    __slots__ = ("N", "data_confined", "swept", "max_leak", "passed")
+
+    def __init__(self, N: int, data_confined: bool, swept: tuple, max_leak: float, passed: bool):
+        self.N = N
+        self.data_confined = data_confined
+        self.swept = swept
+        self.max_leak = max_leak
+        self.passed = passed
 
 
 def dependence_check(
@@ -469,14 +477,16 @@ def dependence_check(
     )
 
 
-@dataclass(frozen=True)
 class StabilityReport:
-    """L1 growth of one slice against the universal bound."""
+    """L1 growth of one slice against the universal bound; treat as immutable."""
 
-    L: object
-    ratio: float
-    bound: float
-    passed: bool
+    __slots__ = ("L", "ratio", "bound", "passed")
+
+    def __init__(self, L, ratio: float, bound: float, passed: bool):
+        self.L = L
+        self.ratio = ratio
+        self.bound = bound
+        self.passed = passed
 
 
 def l1_bound_check(prob: WaveProblem, L, slice_: SolutionSlice | None = None) -> StabilityReport:
@@ -500,11 +510,15 @@ def l1_bound_check(prob: WaveProblem, L, slice_: SolutionSlice | None = None) ->
     return StabilityReport(L=L, ratio=ratio, bound=bound, passed=ratio <= bound * (1 + 1e-12))
 
 
-@dataclass(frozen=True)
 class UniquenessReport:
-    swept: tuple
-    max_abs: float
-    passed: bool
+    """Zero data's largest value over every route and time; treat as immutable."""
+
+    __slots__ = ("swept", "max_abs", "passed")
+
+    def __init__(self, swept: tuple, max_abs: float, passed: bool):
+        self.swept = swept
+        self.max_abs = max_abs
+        self.passed = passed
 
 
 def uniqueness_smoke(prob: WaveProblem, labels=None) -> UniquenessReport:

@@ -16,7 +16,6 @@ everything built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, LizorkinError
@@ -43,19 +42,19 @@ def _integral_order(alpha) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
 class OperatorParams:
-    """Order and ambient dimension of one fractional operator instance."""
+    """Order and ambient dimension of one fractional operator instance; treat as immutable."""
 
-    ctx: PrimeContext
-    n: int
-    alpha: object  # positive int, Fraction, or float
+    __slots__ = ("ctx", "n", "alpha")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.n}")
-        if not float(self.alpha) > 0:
-            raise ConfigError(f"the operator order must be positive, got {self.alpha}")
+    def __init__(self, ctx: PrimeContext, n: int, alpha):
+        if n < 1:
+            raise ConfigError(f"dimension must be >= 1, got {n}")
+        if not float(alpha) > 0:
+            raise ConfigError(f"the operator order must be positive, got {alpha}")
+        self.ctx = ctx
+        self.n = n
+        self.alpha = alpha  # positive int, Fraction, or float
 
     def power_of_p(self, exponent_times_alpha):
         """p**(k*alpha) exactly when alpha is integral, as float otherwise."""

@@ -1,12 +1,16 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padicwave import cli
 from padicwave.acceptance import CheckResult
@@ -224,6 +228,10 @@ def test_solve_output_matches_golden_files(case, tmp_path, monkeypatch):
 
 def _broken_table(path: Path, edit: str) -> Path:
     """A saved coset table with one entry broken as edit names."""
+    if edit == "not-json":
+        table = path / "u0.json"
+        table.write_text("{")
+        return table
     if edit == "no-re":
         doc = json.loads((GOLDEN / "table-p3-n1-M2-ell1.json").read_text())
         del doc["values"][0]["re"]
@@ -259,18 +267,32 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"profile_points": ["1e400"]}, []),
         ({"profile_points": ["nan"]}, []),
         ({"alpha": "inf"}, []),
+        ({"p": 2.5}, []),
+        ({"n": True}, []),
+        ('{"p": 1e400}', []),
+        ('{"n": 1e400}', []),
+        ('{"K": 1e400}', []),
+        ('{"seed": 1e400}', []),
+        ('{"sweep": [1e400]}', []),
+        ('{"tolerances": {"eigen": 1' + "0" * 400 + "}}", []),
+        ({"u0_spec": "."}, []),
+        ({"p": 3, "u0_spec": "TABLE:not-json"}, []),
     ],
     ids=[
         "p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry",
         "table-digit", "table-digit-count", "table-coordinates", "table-duplicate",
-        "profile-overflow", "profile-nan", "alpha-inf",
+        "profile-overflow", "profile-nan", "alpha-inf", "p-fractional", "n-bool",
+        "p-overflow", "n-overflow", "K-overflow", "seed-overflow", "sweep-overflow",
+        "tolerance-overflow", "table-directory", "table-not-json",
     ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
-    if doc.get("u0_spec", "").startswith("TABLE:"):
+    # a string is written as it stands, for JSON such as 1e400 that
+    # json.dumps cannot produce
+    if isinstance(doc, dict) and doc.get("u0_spec", "").startswith("TABLE:"):
         doc["u0_spec"] = str(_broken_table(tmp_path, doc["u0_spec"].split(":")[1]))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     src = Path(cli.__file__).resolve().parents[1]
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -293,6 +315,9 @@ def test_near_integer_exact_ratio_is_refused(tmp_path, capsys):
     cfg.write_text(json.dumps({"alpha": 1 / 3, "beta": 1.000000000001}))
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "summary.json").read_text())["K"] == 3
+    # a subnormal alpha makes the float ratio overflow to inf
+    cfg.write_text(json.dumps({"alpha": 5e-324, "beta": 1.0}))
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
@@ -315,6 +340,13 @@ def test_cli_import_leaves_the_fourier_layer_and_the_suite_unloaded():
         assert module not in loaded
 
 
+@pytest.mark.parametrize("module", ["padicwave.cli", "padicwave.acceptance"])
+def test_import_generates_no_dataclass_code(module):
+    # a frozen dataclass execs its generated methods at every import
+    proc = _run_python(f"import sys, {module}\nprint('dataclasses' in sys.modules)")
+    assert proc.stdout.strip() == "False"
+
+
 def test_every_public_name_resolves():
     import padicwave
     from padicwave import fourier
@@ -322,7 +354,79 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from padicwave import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(padicwave.__all__)
-    assert len(padicwave.__all__) == 70
+    assert len(padicwave.__all__) == 68
     assert padicwave.forward is fourier.forward
     with pytest.raises(AttributeError):
         padicwave.no_such_name
+
+
+# JSON scalars for config values; text stays free of "/" so that a u0_spec
+# read as a path names nothing outside the test's directory
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-20, 20)
+    | st.floats(-20, 20)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(st.characters(exclude_characters="/"), max_size=6)
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
+_NUMBER_TEXT = (
+    st.integers(-20, 20).map(str)
+    | st.fractions(-20, 20, max_denominator=9).map(str)
+    | st.floats(-20, 20).map(repr)
+)
+# built-in exponents stay within |N| <= 50, and integers within 20 of 0: a
+# built-in's run time grows with K*N*n through the bit size of its Fractions,
+# and no limit bounds that cost yet
+_EXPONENTS = st.integers(-50, 50)
+
+
+def _mostly(plausible):
+    """A plausible value three times in four, any JSON value otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: _VALUES if i == 0 else plausible)
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "p": _mostly(st.sampled_from([2, 3, 5])),
+        "n": _mostly(st.sampled_from([1, 2])),
+        "K": _mostly(st.integers(1, 3)),
+        "alpha": _mostly(_NUMBER_TEXT),
+        "beta": _mostly(_NUMBER_TEXT),
+        "u0_spec": _mostly(
+            st.builds("sphere-indicator {}".format, _EXPONENTS)
+            | st.builds("eigen {} {}".format, _EXPONENTS, _NUMBER_TEXT)
+        ),
+        "sweep": _mostly(st.just("auto") | st.lists(st.integers(-20, 20), max_size=4)),
+        "output": _VALUES,
+        "tolerances": _mostly(
+            st.dictionaries(
+                st.sampled_from(["duality", "eigen", "dependence"]), st.floats(0, 1), max_size=3
+            )
+        ),
+        "profile_points": _mostly(
+            st.lists(
+                _NUMBER_TEXT | st.lists(_NUMBER_TEXT, min_size=2, max_size=2).map(",".join),
+                max_size=2,
+            )
+        ),
+        "seed": _mostly(st.integers(0, 2**32)),
+    },
+)
+
+
+@settings(
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(doc=_CONFIGS)
+def test_any_config_ends_in_a_documented_exit_code(doc, tmp_path, monkeypatch):
+    monkeypatch.setenv("PADICWAVE_GRID_CAP", "64")
+    monkeypatch.chdir(tmp_path)
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfg = run / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main(["solve", "--config", str(cfg), "--out", str(run / "out")])
+    assert code in (0, 2, 3, 4)

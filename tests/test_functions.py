@@ -170,6 +170,15 @@ def test_l1_norms():
     assert l1_norm(scale(table, Fraction(2))) == 2
 
 
+@pytest.mark.parametrize("p, n, M, ell", [(2, 1, 1, 2), (3, 2, 0, 1), (5, 1, -1, 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_l1_norm_of_a_rational_table_is_the_fraction_sum(seed, p, n, M, ell):
+    f = _rng_table(seed, PrimeContext(p), n, M, ell)
+    got = l1_norm(f)
+    assert isinstance(got, Fraction)
+    assert got == sum((abs(v) for v in f.values), Fraction(0)) * f.grid.coset_volume
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_translation_preserves_integral_and_l1(seed):
     ctx = PrimeContext(2)
