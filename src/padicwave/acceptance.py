@@ -11,6 +11,9 @@ brute force everywhere sampled.
 ``run_all(bracket="floor")`` exists for mutation testing: it threads the
 deliberately wrong bracket variant into the kernel closed form and must
 make the kernel check fail.
+
+The transform and operator layers are imported by the checks that use
+them, so a process that runs one other check never compiles them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import random
 from fractions import Fraction
 
 from .errors import SpectralCompatibilityError
-from .fourier import forward, inverse
 from .functions import (
     CosetFunction,
     embed_radial,
@@ -54,7 +56,6 @@ from .solver import (
     time_profile,
     uniqueness_smoke,
 )
-from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
 
 DEFAULT_SEED = 20260819
 
@@ -221,6 +222,8 @@ def check_integration_formulas() -> CheckResult:
 
 def check_fourier_round_trip(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> CheckResult:
     """inverse(forward(f)) = f on random tables; zero-mean/zero-at-origin flags."""
+    from .fourier import forward, inverse
+
     rng = random.Random(seed)
     shapes = [
         (2, 1, 0, 2), (2, 1, 1, 1), (2, 2, 1, 1), (3, 1, 0, 1),
@@ -270,6 +273,8 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> Ch
 
 def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
     """Both operator forms reproduce the eigenvalue on the canonical family."""
+    from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
+
     worst = 0.0
     combos = 0
     for p in (2, 3, 5):
@@ -298,6 +303,8 @@ def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
 
 def check_operator_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult:
     """Spectral and hypersingular forms agree on random zero-mean tables."""
+    from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
+
     rng = random.Random(seed + 1)
     shapes = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1), (3, 1, 0, 2), (5, 1, 1, 1)]
     alphas = (1, 2, Fraction(1, 2), 1.5)
@@ -430,6 +437,8 @@ def check_time_pde(tol: float = 1e-10) -> CheckResult:
     With spectral data on the sphere |xi| = p**N, the temporal operator of
     order alpha acting on t -> u(t, x) must multiply it by p**(K*alpha*N).
     """
+    from .vladimirov import OperatorParams, apply_spectral
+
     worst = 0.0
     combos = 0
     for p, K, N, alpha in (

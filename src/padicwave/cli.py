@@ -57,6 +57,10 @@ EXIT_CONFIG = 2
 EXIT_GRID_CAP = 3
 EXIT_REFUSED = 4
 
+# the largest numbers built-in data may hold, in bits: a CSV value is also
+# written as a float, and a float overflows past 2**1024
+BUILTIN_BITS = 1000
+
 
 def _parse_number(text):
     """int, 'a/b' Fraction, or finite float, in that preference order."""
@@ -215,17 +219,12 @@ def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
     if parts and parts[0] == "sphere-indicator":
         if len(parts) != 2:
             raise ConfigError("usage: u0_spec = 'sphere-indicator N'")
-        N = _parsed("u0_spec", int, parts[1])
-        r = eigenfunction(N, Fraction(1), 1, ctx, cfg.n)
-        return embed_radial(r, -N + 2, N + 1, cfg.n)
+        return _builtin_u0(cfg, ctx, parts[1], 1, Fraction(1))
     if parts and parts[0] == "eigen":
         if len(parts) != 3:
             raise ConfigError("usage: u0_spec = 'eigen N C'")
-        N = _parsed("u0_spec", int, parts[1])
         C = _parse_number(parts[2])
-        C = Fraction(C) if isinstance(C, int) else C
-        r = eigenfunction(N, C, cfg.K, ctx, cfg.n)
-        return embed_radial(r, -cfg.K * N + 2, cfg.K * N + 1, cfg.n)
+        return _builtin_u0(cfg, ctx, parts[1], cfg.K, Fraction(C) if isinstance(C, int) else C)
     path = Path(cfg.u0_spec)
     if not path.exists():
         raise ConfigError(f"u0_spec {cfg.u0_spec!r} is neither a builtin nor a file")
@@ -240,6 +239,27 @@ def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
             f"table at {path} is for p={f.ctx.p} n={f.n}, config says p={cfg.p} n={cfg.n}"
         )
     return f
+
+
+def _builtin_u0(cfg: RunConfig, ctx: PrimeContext, N_text: str, K: int, C) -> CosetFunction:
+    """The eigenfunction datum of exponent N on its grid, refused before it is
+    built when its values or coordinates would not fit a CSV cell.
+
+    Its values are C times powers of p up to p**((|K*N| + 1) * n) and its
+    coordinates powers up to p**(|K*N| + 2); each is written as a float,
+    which holds about 2**1024, and as an exact fraction.
+    """
+    N = _parsed("u0_spec", int, N_text)
+    bits = (abs(K * N) + 2) * cfg.n * math.log2(ctx.p)
+    if isinstance(C, Fraction):
+        bits += max(C.numerator.bit_length(), C.denominator.bit_length())
+    if bits > BUILTIN_BITS:
+        raise ConfigError(
+            f"u0_spec {cfg.u0_spec!r} needs numbers of about {bits:.0f} bits, "
+            f"above the {BUILTIN_BITS} bits a CSV value can hold"
+        )
+    r = eigenfunction(N, C, K, ctx, cfg.n)
+    return embed_radial(r, -K * N + 2, K * N + 1, cfg.n)
 
 
 def _build_problem(cfg: RunConfig) -> WaveProblem:

@@ -33,11 +33,6 @@ from .phases import (
 _ZERO = Fraction(0)
 
 
-def _digit_coordinates(reps, scale: Fraction) -> list[tuple[int, ...]]:
-    """Each representative's coordinates times scale, as integers."""
-    return [tuple(int(c * scale) for c in rep) for rep in reps]
-
-
 def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     """Coset sum of chi_p(sign * xi . x) f(x) on the swapped grid.
 
@@ -52,8 +47,8 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     out_grid = enumerate_cosets(ctx, ell, M, n)
     vol = f.grid.coset_volume
     width_q = p ** (M + ell)
-    in_a = _digit_coordinates(f.grid.representatives, Fraction(p) ** M)
-    out_b = _digit_coordinates(out_grid.representatives, Fraction(p) ** ell)
+    in_a = f.grid.digits
+    out_b = out_grid.digits
     out_values = []
     if f.is_exact():
         # each nonzero input as its phase terms; a zero input adds no term

@@ -14,6 +14,7 @@ package lists them identically.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -93,7 +94,7 @@ class CosetGrid:
     (ctx, n, support_exp, resolution_exp) are: those fix the representatives.
     """
 
-    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "representatives")
+    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "representatives", "_digits")
 
     def __init__(
         self,
@@ -108,6 +109,7 @@ class CosetGrid:
         self.support_exp = support_exp
         self.resolution_exp = resolution_exp
         self.representatives = representatives
+        self._digits = None
 
     def _key(self) -> tuple:
         return (self.ctx, self.n, self.support_exp, self.resolution_exp)
@@ -126,6 +128,17 @@ class CosetGrid:
 
     def __len__(self) -> int:
         return len(self.representatives)
+
+    @property
+    def digits(self) -> tuple[tuple[int, ...], ...]:
+        """Each coset's integer digit coordinates a_j = x_j * p**M, in grid order.
+
+        Built on first use and kept: a_j lies in [0, p**W) with W = M + ell.
+        """
+        if self._digits is None:
+            one_d = digit_reversal(self.ctx.p, self.support_exp + self.resolution_exp)
+            self._digits = tuple(itertools.product(one_d, repeat=self.n))
+        return self._digits
 
     def position(self, x) -> int | None:
         """Index in ``representatives`` of the coset holding the n-vector x.
@@ -205,35 +218,51 @@ def enumerate_cosets(
     """Build the coset grid for (support_exp, resolution_exp) in n dimensions.
 
     Raises GridCapError when p**(n*(M+ell)) exceeds the cap (default 10**6,
-    override via the PADICWAVE_GRID_CAP environment variable).
+    override via the PADICWAVE_GRID_CAP environment variable).  A count far
+    past the cap is judged on its logarithm, so it is never built.
     """
     if n < 1:
         raise ConfigError(f"dimension must be >= 1, got {n}")
-    count = grid_cardinality(ctx, support_exp, resolution_exp, n)
     cap = grid_cap()
-    if count > cap:
-        raise GridCapError(
-            f"coset grid would hold {count} points, above the cap of {cap}"
-        )
+    power = n * (support_exp + resolution_exp)
+    far = power * math.log2(ctx.p) > cap.bit_length() + 1
+    count = None if far else grid_cardinality(ctx, support_exp, resolution_exp, n)
+    if far or count > cap:
+        shown = f"{ctx.p}**{power}" + ("" if far else f" = {count}")
+        raise GridCapError(f"coset grid would hold {shown} points, above the cap of {cap}")
     return _build_grid(ctx, support_exp, resolution_exp, n)
+
+
+@lru_cache(maxsize=64)
+def digit_reversal(p: int, width: int) -> tuple[int, ...]:
+    """The width-digit base-p reversal of each integer in [0, p**width).
+
+    Entry i is the digit coordinate of the i-th coset of a one-dimensional
+    grid of that width; the reversal is an involution, so entry a is also
+    the position of digit coordinate a.
+    """
+    out = [0]
+    for i in range(width):
+        # digit i of the coordinate is the next, less significant position digit
+        out = [a + d * p**i for a in out for d in range(p)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def digit_valuations(p: int, width: int) -> tuple[int, ...]:
+    """v_p(a) for each integer a in [0, p**width), with width standing for v_p(0)."""
+    val = [0] * p**width
+    for k in range(1, width + 1):
+        val[:: p**k] = [k] * p ** (width - k)
+    return tuple(val)
 
 
 @lru_cache(maxsize=128)
 def _build_grid(
     ctx: PrimeContext, support_exp: int, resolution_exp: int, n: int
 ) -> CosetGrid:
-    p = ctx.p
-    width = support_exp + resolution_exp
-    if width == 0:
-        one_d = (Fraction(0),)
-    else:
-        # digit tuple (d_{-M}, ..., d_{ell-1}); digit i sits at exponent
-        # -M + i, and itertools.product yields the tuples lexicographically
-        scale = Fraction(p) ** (-support_exp)
-        one_d = tuple(
-            sum(d * p**i for i, d in enumerate(digits)) * scale
-            for digits in itertools.product(range(p), repeat=width)
-        )
+    scale = Fraction(ctx.p) ** (-support_exp)
+    one_d = tuple(a * scale for a in digit_reversal(ctx.p, support_exp + resolution_exp))
     reps = tuple(itertools.product(one_d, repeat=n))
     return CosetGrid(ctx, n, support_exp, resolution_exp, reps)
 

@@ -21,18 +21,41 @@ INF = math.inf
 NEG_INF = -math.inf
 
 
+# Miller-Rabin with the prime bases up to 41 decides every integer below
+# this bound exactly (it is the least strong pseudoprime to all of them)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    # deterministic trial division; the primes used in practice are tiny
+    """Deterministic Miller-Rabin, exact for p below PRIME_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def order_float(x, what: str) -> float:
+    """float(x) for an operator order, refusing one too large for a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ConfigError(f"{what} {x} is too large for a float") from None
 
 
 class PrimeContext:
@@ -45,6 +68,10 @@ class PrimeContext:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= PRIME_BOUND:
+            raise ConfigError(
+                f"p = {p} is not below {PRIME_BOUND}, the bound up to which primality is exact"
+            )
         if not isinstance(p, int) or not _is_prime(p):
             raise ConfigError(f"p must be a prime integer, got {p!r}")
         self.p = p

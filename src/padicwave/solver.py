@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
 from .errors import ConfigError, LizorkinError, SpectralCompatibilityError
 from .functions import (
@@ -43,12 +44,10 @@ from .functions import (
     l1_norm,
     regrid,
 )
-from .lattice import SphereSpec, sphere_volume, vector_norm_exponent
-from .padic import NEG_INF, PrimeContext
+from .lattice import SphereSpec, digit_valuations, sphere_volume, vector_norm_exponent
+from .padic import NEG_INF, PrimeContext, order_float
 from .phases import (
     is_exact_value,
-    reduce_value,
-    value_add,
     value_scale,
     value_to_complex,
     values_equal,
@@ -171,20 +170,30 @@ def kernel_oracle(K: int, n: int, L: int, M: int, ctx: PrimeContext) -> Fraction
         (1-p**-n) p**(-Mn) sum_{j>=0} b(L, -M-j) p**(-jn) - p**(-Mn) b(L, -M+1).
 
     b(L, -M-j) equals 1 for every j past a computable index, so the series
-    splits into a short head plus an exact geometric tail.  Slow but fully
-    independent of the closed form above.
+    splits into a short head plus an exact geometric tail.  With q = p**n
+    and every b(L, N) written as c/(p - 1) for an integer c, the head and
+    tail sum to one integer over (p - 1) * q**j1.  Fully independent of
+    the closed form above.
     """
-    p = ctx.p
+    p, q = ctx.p, ctx.p**n
     b = PropagationMultiplier(ctx, K)
+
+    def c(N) -> int:
+        v = b.value(L, N)  # 1, -1/(p - 1) or 0
+        return v.numerator * ((p - 1) // v.denominator)
+
     # b(L, -M-j) = 1 iff L <= K*(M+j), i.e. for all j >= ceil((L - K*M)/K)
     j1 = max(0, _ceil_div(L - K * M, K))
-    head = Fraction(0)
+    head = 0  # sum_{j < j1} c(-M-j) * q**(j1-1-j), by Horner's rule
     for j in range(j1):
-        head += b.value(L, -M - j) * Fraction(p) ** (-j * n)
-    tail = Fraction(p) ** (-j1 * n) / (1 - Fraction(p) ** (-n))
-    result = (1 - Fraction(p) ** (-n)) * Fraction(p) ** (-M * n) * (head + tail)
-    result -= Fraction(p) ** (-M * n) * b.value(L, -M + 1)
-    return result
+        head = head * q + c(-M - j)
+    # (1 - 1/q) * (head/((p-1) q**(j1-1)) + q**-j1/(1 - 1/q)) - c(-M+1)/(p-1)
+    # over the denominator (p-1) q**j1
+    num = (q - 1) * head + (p - 1) - c(-M + 1) * q**j1
+    den = (p - 1) * q**j1
+    if M >= 0:
+        return Fraction(num, den * q**M)
+    return Fraction(num * q**-M, den)
 
 
 def kernel_at_origin_limit(K: int, n: int, L: int, ctx: PrimeContext) -> Fraction:
@@ -239,7 +248,7 @@ class WaveProblem:
             raise ConfigError(
                 f"the coupling K must be a positive integer, got {K}"
             )
-        if not float(alpha) > 0:
+        if not order_float(alpha, "the temporal order") > 0:
             raise ConfigError(f"the temporal order must be positive, got {alpha}")
         if u0.ctx != ctx or u0.n != n:
             raise ConfigError("initial data lives on a different space")
@@ -266,8 +275,9 @@ class WaveProblem:
         integer; anything else admits only the zero solution, so we refuse
         loudly instead of computing garbage.
         """
-        if not float(alpha) > 0:
+        if not order_float(alpha, "the temporal order") > 0:
             raise ConfigError(f"the temporal order must be positive, got {alpha}")
+        order_float(beta, "the spatial order")
         if isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction)):
             ratio = Fraction(beta) / Fraction(alpha)
             shown, integral = str(ratio), ratio.denominator == 1
@@ -350,9 +360,15 @@ def solve_spectral(
     if u0_hat is None:
         u0_hat = spectral_data(prob)
     b = prob.multiplier()
+    grid = u0_hat.grid
+    width = grid.support_exp + grid.resolution_exp
+    val = digit_valuations(prob.ctx.p, width)
+    # |xi| = p**(ell - v), v the least valuation of xi's digit coordinates;
+    # v = W only at xi = 0
+    by_v = [b.value(L, grid.support_exp - v) for v in range(width)] + [b.value(L, NEG_INF)]
     values = [
-        value_scale(v, b.value(L, vector_norm_exponent(rep, prob.ctx.p)))
-        for rep, v in u0_hat.items()
+        value_scale(v, by_v[min(map(val.__getitem__, xi))])
+        for xi, v in zip(grid.digits, u0_hat.values)
     ]
     return SolutionSlice(L=L, field=inverse(CosetFunction(u0_hat.grid, values)))
 
@@ -363,38 +379,53 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
     Off-diagonal cosets sample the kernel at the representative difference,
     which is exact because the kernel is radial and a coset never straddles
     two spheres.  The diagonal coset (y in the same coset as x) instead
-    integrates the kernel over a ball at the grid resolution.
+    integrates the kernel over a ball at the grid resolution.  A pair is
+    read on integer digit coordinates: |x - y| = p**(M - v), v the least
+    valuation of a_j(x) - a_j(y) mod p**W.  A rational table is summed as
+    integers over one common denominator, any other as complex numbers.
     """
     if L == T_ZERO:
         return SolutionSlice(L=L, field=CosetFunction(prob.u0.grid, prob.u0.values))
     L = int(L)
     f = prob.u0
     K, n, ctx = prob.K, prob.n, prob.ctx
-    ell = f.resolution_exp
+    M, ell = f.support_exp, f.resolution_exp
+    width = M + ell
+    q = ctx.p**width
     coset_vol = Fraction(ctx.p) ** (-n * ell)
     diag_mass = kernel_ball_integral(K, n, L, -ell, ctx)
-
-    kernel_cache: dict[int, Fraction] = {}
-
-    def k_at(e: int) -> Fraction:
-        if e not in kernel_cache:
-            kernel_cache[e] = kernel_closed_form(K, n, L, e, ctx)
-        return kernel_cache[e]
-
-    items = list(f.items())
+    # the pair weight by v; v = W only on the diagonal, whose mass is diag_mass
+    weights = [kernel_closed_form(K, n, L, M - v, ctx) * coset_vol for v in range(width)]
+    val = digit_valuations(ctx.p, width)
+    digits = f.grid.digits
+    cols = list(zip(*digits))
+    exact = all(isinstance(v, Fraction) for v in f.values)
+    if exact:
+        den = math.lcm(*(v.denominator for v in f.values))
+        nums = [v.numerator * (den // v.denominator) for v in f.values]
+        wden = math.lcm(diag_mass.denominator, *(w.denominator for w in weights))
+        ints = [w.numerator * (wden // w.denominator) for w in weights] + [0]
+        diag = diag_mass.numerator * (wden // diag_mass.denominator)
+    else:
+        cs = [value_to_complex(v) for v in f.values]
+        floats = [float(w) if w else None for w in weights] + [None]
+        fdiag = float(diag_mass)
     values = []
-    for x, fx in items:
-        acc = value_scale(fx, diag_mass)
-        for y, fy in items:
-            if y == x:
-                continue
-            e = vector_norm_exponent(
-                tuple(a - b for a, b in zip(x, y)), ctx.p
-            )
-            w = k_at(int(e)) * coset_vol
-            if w:
-                acc = value_add(acc, value_scale(fy, w))
-        values.append(reduce_value(acc))
+    for i, x in enumerate(digits):
+        vs = None
+        for a, col in zip(x, cols):
+            part = [val[(a - b) % q] for b in col]
+            vs = part if vs is None else list(map(min, vs, part))
+        if exact:
+            total = nums[i] * diag + sum(map(mul, nums, map(ints.__getitem__, vs)))
+            values.append(Fraction(total, den * wden))
+            continue
+        acc = cs[i] * fdiag
+        for c, v in zip(cs, vs):
+            w = floats[v]
+            if w is not None:
+                acc += c * w
+        values.append(acc)
     return SolutionSlice(L=L, field=CosetFunction(f.grid, values))
 
 

@@ -16,19 +16,21 @@ everything built on top.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import ConfigError, LizorkinError
 from .fourier import forward, inverse
 from .functions import PHI_TOL, CosetFunction, integrate, is_in_Phi
 from .lattice import (
     as_fraction_vector,
+    digit_valuations,
     enumerate_cosets,
-    sphere_representatives,
     vector_norm_exponent,
 )
-from .padic import NEG_INF, PrimeContext
-from .phases import reduce_value, value_add, value_scale, value_to_complex
+from .padic import NEG_INF, PrimeContext, order_float
+from .phases import value_scale, value_to_complex
 
 
 def _integral_order(alpha) -> int | None:
@@ -50,7 +52,7 @@ class OperatorParams:
     def __init__(self, ctx: PrimeContext, n: int, alpha):
         if n < 1:
             raise ConfigError(f"dimension must be >= 1, got {n}")
-        if not float(alpha) > 0:
+        if not order_float(alpha, "the operator order") > 0:
             raise ConfigError(f"the operator order must be positive, got {alpha}")
         self.ctx = ctx
         self.n = n
@@ -101,10 +103,113 @@ def apply_spectral(
     return inverse(CosetFunction(g.grid, values))
 
 
-def _evaluate_extended(f: CosetFunction, vec, background):
-    """Table value inside the support ball, the background constant outside."""
-    i = f.grid.position(vec)
-    return background if i is None else f.values[i]
+def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: int):
+    """The hypersingular form at points of B_top, top >= f.support_exp.
+
+    Returns the grid of B_top at f's resolution, and the form as a function
+    of a point's digit coordinates X_j = x_j * p**top in that grid.  The
+    per-table work is done here once: f extended by the background to that
+    grid, its spheres (in ``sphere_representatives`` order, which the grid
+    order keeps), and the shell and tail weights.  For a sphere point y,
+    x - y has the digit coordinates (X_j - Y_j) mod p**(top + ell); the
+    extended table is laid out by those coordinates, read as base-p**(top
+    + ell) digits, so the cell of x - y is plain integer arithmetic.
+    """
+    if f.ctx != params.ctx or f.n != params.n:
+        raise ConfigError("operator and function live on different spaces")
+    p, n = params.ctx.p, params.n
+    M, ell = f.support_exp, f.resolution_exp
+    background = Fraction(background) if isinstance(background, int) else background
+    big = enumerate_cosets(params.ctx, top, ell, n)
+    q = p ** (top + ell)
+    val = digit_valuations(p, top + ell)
+    place = [q ** (n - 1 - j) for j in range(n)]
+    # f on B_top, plus one last cell holding the background for the outer tail
+    ext = [background] * (len(big) + 1)
+    step = p ** (top - M)
+    for a, v in zip(f.grid.digits, f.values):
+        ext[sum(map(mul, place, a)) * step] = v
+    spheres = {g: [] for g in range(-ell + 1, top + 1)}
+    for y in big.digits:
+        g = top - min(map(val.__getitem__, y))
+        if g > -ell:  # the origin coset adds nothing by local constancy
+            spheres[g].append(y)
+    spheres = {g: tuple(zip(*ys)) for g, ys in spheres.items()}
+
+    # |y|**(-alpha-n) on each shell times the coset volume, and the outer
+    # tail past each possible top shell G, where every y sees the background
+    coset_vol = Fraction(p) ** (-n * ell)
+    pref = params.prefactor()
+    shell_w, tail_w = {}, {}
+    for g in spheres:
+        w = params.power_of_p(-g)
+        if isinstance(w, Fraction):
+            shell_w[g] = w * Fraction(p) ** (-g * n) * coset_vol
+        else:
+            shell_w[g] = w * float(p) ** (-g * n) * float(coset_vol)
+    for G in range(M, top + 1):
+        a = params.power_of_p(-(G + 1))
+        if isinstance(a, Fraction):
+            tail_w[G] = (1 - Fraction(p) ** (-n)) * (a / (1 - params.power_of_p(-1)))
+        else:
+            tail_w[G] = (1.0 - float(p) ** (-n)) * (a / (1.0 - params.power_of_p(-1)))
+
+    def terms(X, shell_w, tail_w):
+        """x's cell, and (weight, cells of x - y) per shell up to x's top shell, then the tail."""
+        G = max(M, top - min(map(val.__getitem__, X)))
+        out = []
+        for g in range(-ell + 1, G + 1):
+            idx = None
+            for s, x, col in zip(place, X, spheres[g]):
+                part = [(x - y) % q * s for y in col]
+                idx = part if idx is None else list(map(add, idx, part))
+            out.append((shell_w[g], idx))
+        out.append((tail_w[G], [len(big)]))
+        return sum(map(mul, place, X)), out
+
+    exact = isinstance(pref, Fraction)
+    rational = isinstance(background, Fraction) and all(isinstance(v, Fraction) for v in f.values)
+    if rational:  # integer numerators over one common denominator
+        den = math.lcm(background.denominator, *(v.denominator for v in f.values))
+        nums = [v.numerator * (den // v.denominator) for v in ext]
+    if rational and exact:
+        # the weights times the prefactor, as integers over one denominator
+        shell_w = {g: w * pref for g, w in shell_w.items()}
+        tail_w = {G: w * pref for G, w in tail_w.items()}
+        wden = math.lcm(*(w.denominator for w in (*shell_w.values(), *tail_w.values())))
+        shell_n = {g: w.numerator * (wden // w.denominator) for g, w in shell_w.items()}
+        tail_n = {G: w.numerator * (wden // w.denominator) for G, w in tail_w.items()}
+
+        def at(X):
+            ix, shells = terms(X, shell_n, tail_n)
+            total = sum(w * (sum(map(nums.__getitem__, idx)) - len(idx) * nums[ix])
+                        for w, idx in shells)
+            return Fraction(total, den * wden)
+
+        return big, at
+
+    if rational:  # float weights: each exact difference rounds once, as value_scale does
+        def diffs(ix, idx):
+            return [complex((nums[i] - nums[ix]) / den) for i in idx]
+    else:
+        cext = [value_to_complex(v) for v in ext]
+
+        def diffs(ix, idx):
+            neg = value_to_complex(value_scale(ext[ix], -1))
+            return [cext[i] + neg for i in idx]
+
+    scalar = float if exact else complex
+
+    def at(X):
+        ix, shells = terms(X, shell_w, tail_w)
+        acc = 0j
+        for w, idx in shells:
+            w = scalar(w)
+            for d in diffs(ix, idx):
+                acc += d * w
+        return acc * scalar(pref)
+
+    return big, at
 
 
 def apply_hypersingular(
@@ -116,46 +221,15 @@ def apply_hypersingular(
     support ball and the constant ``background`` outside (0 for compactly
     supported data).  Shells at or below the resolution contribute nothing
     by local constancy; shells past max(support, |x|) see only the
-    background and sum to an exact geometric tail.
+    background and sum to an exact geometric tail.  A rational table with
+    an integral order gives a Fraction, summed as integers over one common
+    denominator; anything else gives a complex number.
     """
-    if f.ctx != params.ctx or f.n != params.n:
-        raise ConfigError("operator and function live on different spaces")
-    ctx, n = params.ctx, params.n
-    p = ctx.p
-    background = Fraction(background) if isinstance(background, int) else background
-    vec = as_fraction_vector(x, n)
-    e_x = vector_norm_exponent(vec, p)
-    gamma_top = f.support_exp if e_x == NEG_INF else max(f.support_exp, int(e_x))
-    ell = f.resolution_exp
-    fx = _evaluate_extended(f, vec, background)
-    coset_vol = Fraction(p) ** (-n * ell)
-
-    total = Fraction(0)
-    for gamma in range(-ell + 1, gamma_top + 1):
-        # |y|**(-alpha-n) on the shell, times the coset volume
-        shell_w = params.power_of_p(-gamma)
-        if isinstance(shell_w, Fraction):
-            shell_w = shell_w * Fraction(p) ** (-gamma * n) * coset_vol
-        else:
-            shell_w = shell_w * float(p) ** (-gamma * n) * float(coset_vol)
-        for yrep in sphere_representatives(ctx, gamma, ell, n):
-            fy = _evaluate_extended(
-                f, tuple(a - b for a, b in zip(vec, yrep)), background
-            )
-            diff = value_add(fy, value_scale(fx, -1))
-            total = value_add(total, value_scale(diff, shell_w))
-
-    # outer tail: every y there sees the background
-    a = params.power_of_p(-(gamma_top + 1))
-    if isinstance(a, Fraction):
-        tail_sum = a / (1 - params.power_of_p(-1))
-        tail_w = (1 - Fraction(p) ** (-n)) * tail_sum
-    else:
-        tail_sum = a / (1.0 - params.power_of_p(-1))
-        tail_w = (1.0 - float(p) ** (-n)) * tail_sum
-    diff = value_add(background, value_scale(fx, -1))
-    total = value_add(total, value_scale(diff, tail_w))
-    return reduce_value(value_scale(total, params.prefactor()))
+    vec = as_fraction_vector(x, params.n)
+    e_x = vector_norm_exponent(vec, params.ctx.p)
+    top = f.support_exp if e_x == NEG_INF else max(f.support_exp, int(e_x))
+    grid, at = _hypersingular(params, f, background, top)
+    return at(grid.digits[grid.position(vec)])
 
 
 def apply_hypersingular_field(
@@ -173,8 +247,5 @@ def apply_hypersingular_field(
     M = f.support_exp if support_exp is None else support_exp
     if M < f.support_exp:
         raise ConfigError("output support cannot be smaller than the input's")
-    grid = enumerate_cosets(params.ctx, M, f.resolution_exp, params.n)
-    values = [
-        apply_hypersingular(params, f, rep, background) for rep in grid.representatives
-    ]
-    return CosetFunction(grid, values)
+    grid, at = _hypersingular(params, f, background, M)
+    return CosetFunction(grid, [at(X) for X in grid.digits])

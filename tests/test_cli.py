@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,6 +278,13 @@ def _broken_table(path: Path, edit: str) -> Path:
         ('{"tolerances": {"eigen": 1' + "0" * 400 + "}}", []),
         ({"u0_spec": "."}, []),
         ({"p": 3, "u0_spec": "TABLE:not-json"}, []),
+        ({"alpha": 10**400}, []),
+        ({"beta": 10**400}, []),
+        ({"u0_spec": "sphere-indicator 99999"}, []),
+        ({"u0_spec": "sphere-indicator -99999"}, []),
+        ({"u0_spec": "eigen 2000 1", "K": 3}, []),
+        ({"n": 10**7}, []),
+        ({"p": 3317044064679887385961981}, []),
     ],
     ids=[
         "p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry",
@@ -284,6 +292,8 @@ def _broken_table(path: Path, edit: str) -> Path:
         "profile-overflow", "profile-nan", "alpha-inf", "p-fractional", "n-bool",
         "p-overflow", "n-overflow", "K-overflow", "seed-overflow", "sweep-overflow",
         "tolerance-overflow", "table-directory", "table-not-json",
+        "alpha-overflow", "beta-overflow", "sphere-indicator-huge", "sphere-indicator-tiny",
+        "eigen-huge", "n-huge", "p-beyond-exact-primality",
     ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
@@ -299,7 +309,7 @@ def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "padicwave.cli", "solve", "--config", str(cfg),
          "--out", str(tmp_path / "o"), *extra],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
@@ -340,6 +350,20 @@ def test_cli_import_leaves_the_fourier_layer_and_the_suite_unloaded():
         assert module not in loaded
 
 
+def test_checks_without_transforms_leave_the_operator_layers_unloaded():
+    # each verify check runs in its own process on the bench; those that use
+    # neither the transform nor the operator should not compile them
+    proc = _run_python(
+        "import sys\n"
+        "from padicwave import acceptance\n"
+        "assert acceptance.check_finite_dependence().passed\n"
+        "assert acceptance.check_kernel_identity().passed\n"
+        "print(sorted(m for m in sys.modules if m.startswith('padicwave.')))"
+    )
+    for module in ("padicwave.vladimirov", "padicwave.fourier"):
+        assert module not in proc.stdout
+
+
 @pytest.mark.parametrize("module", ["padicwave.cli", "padicwave.acceptance"])
 def test_import_generates_no_dataclass_code(module):
     # a frozen dataclass execs its generated methods at every import
@@ -376,10 +400,11 @@ _NUMBER_TEXT = (
     | st.fractions(-20, 20, max_denominator=9).map(str)
     | st.floats(-20, 20).map(repr)
 )
-# built-in exponents stay within |N| <= 50, and integers within 20 of 0: a
-# built-in's run time grows with K*N*n through the bit size of its Fractions,
-# and no limit bounds that cost yet
-_EXPONENTS = st.integers(-50, 50)
+# built-in exponents near 0 and up to 10**5, where the data would outgrow a
+# CSV cell and must be refused before anything is built
+_EXPONENTS = st.integers(-50, 50) | st.integers(-(10**5), 10**5)
+# orders of 400 digits overflow a float
+_HUGE_ORDER = st.integers(10**399, 10**400 - 1)
 
 
 def _mostly(plausible):
@@ -390,11 +415,11 @@ def _mostly(plausible):
 _CONFIGS = st.fixed_dictionaries(
     {},
     optional={
-        "p": _mostly(st.sampled_from([2, 3, 5])),
-        "n": _mostly(st.sampled_from([1, 2])),
+        "p": _mostly(st.sampled_from([2, 3, 5, 2**61 - 1]) | st.integers(2, 2**61)),
+        "n": _mostly(st.sampled_from([1, 2]) | st.integers(1, 10**7)),
         "K": _mostly(st.integers(1, 3)),
-        "alpha": _mostly(_NUMBER_TEXT),
-        "beta": _mostly(_NUMBER_TEXT),
+        "alpha": _mostly(_NUMBER_TEXT | _HUGE_ORDER),
+        "beta": _mostly(_NUMBER_TEXT | _HUGE_ORDER),
         "u0_spec": _mostly(
             st.builds("sphere-indicator {}".format, _EXPONENTS)
             | st.builds("eigen {} {}".format, _EXPONENTS, _NUMBER_TEXT)
@@ -419,6 +444,8 @@ _CONFIGS = st.fixed_dictionaries(
 
 @settings(
     max_examples=200,
+    # every refusal is made before anything is built, so each example is quick
+    deadline=timedelta(seconds=1),
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(doc=_CONFIGS)

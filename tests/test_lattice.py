@@ -103,6 +103,12 @@ def test_grid_cap_env_override(monkeypatch):
     enumerate_cosets(PrimeContext(2), 1, 1, 1)  # 4 points, still fine
 
 
+def test_grid_cap_refuses_a_huge_dimension_without_building_the_count():
+    # p**(n*W) would have 30 million bits; the refusal names it as a power
+    with pytest.raises(GridCapError, match=r"2\*\*30000000 points"):
+        enumerate_cosets(PrimeContext(2), 1, 2, 10**7)
+
+
 @given(
     st.sampled_from([2, 5]),
     st.integers(min_value=-2, max_value=2),

@@ -10,7 +10,9 @@ from padicwave.errors import ConfigError
 from padicwave.padic import (
     INF,
     NEG_INF,
+    PRIME_BOUND,
     PrimeContext,
+    _is_prime,
     canonical_digits,
     character,
     fractional_part,
@@ -122,6 +124,23 @@ def test_prime_context_rejects_composites():
         with pytest.raises(ConfigError):
             PrimeContext(bad)
     PrimeContext(2), PrimeContext(97)
+
+
+def test_primality_is_exact_up_to_the_bound():
+    def by_trial_division(k):
+        return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+    assert [k for k in range(3000) if _is_prime(k)] == [k for k in range(3000) if by_trial_division(k)]
+    # Carmichael numbers, and strong pseudoprimes to the smallest bases
+    for composite in (561, 1105, 2047, 1373653, 3215031751, 3825123056546413051, (2**61 - 1) * 3):
+        assert not _is_prime(composite)
+    for prime in (998244353, 2**31 - 1, 2**61 - 1):
+        assert _is_prime(prime)
+    # the bound is the least composite that every base passes
+    assert 1287836182261 * 2575672364521 == PRIME_BOUND and _is_prime(PRIME_BOUND)
+    PrimeContext(2**61 - 1)
+    with pytest.raises(ConfigError, match="bound"):
+        PrimeContext(PRIME_BOUND)
 
 
 def test_scalar_wrapper_round_trips_through_context():
