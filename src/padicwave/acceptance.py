@@ -24,6 +24,7 @@ from fractions import Fraction
 from .errors import SpectralCompatibilityError
 from .functions import (
     CosetFunction,
+    ball_indicator,
     embed_radial,
     equal_exact,
     is_in_Phi,
@@ -461,12 +462,9 @@ def check_time_pde(tol: float = 1e-10) -> CheckResult:
         applied = apply_spectral(params, table)
         lam = params.power_of_p(K * N)
         lam_c = complex(float(lam), 0.0) if isinstance(lam, Fraction) else complex(lam)
-        scale_ref = max(
-            (abs(value_to_complex(v)) for _, v in table.items()), default=1.0
-        )
-        for v, w in zip(applied.values, table.values):
-            ref = value_to_complex(w) * lam_c
-            err = abs(value_to_complex(v) - ref)
+        scale_ref = max(map(abs, table.complex_values()), default=1.0)
+        for v, w in zip(applied.complex_values(), table.complex_values()):
+            err = abs(v - w * lam_c)
             worst = max(worst, err / max(abs(lam_c) * scale_ref, 1e-30))
         combos += 1
     passed = worst <= tol
@@ -485,14 +483,7 @@ def check_finite_dependence(tol: float = 1e-12) -> CheckResult:
         ctx = PrimeContext(p)
         for K in (1, 2):
             for N in (0, 1, 2):
-                grid = enumerate_cosets(ctx, N, 1 - N, 1)
-                values = []
-                for rep in grid.representatives:
-                    e = vector_norm_exponent(rep, p)
-                    inner = e == NEG_INF or e <= N - 1
-                    values.append(Fraction(1) if inner else Fraction(0))
-                f = CosetFunction(grid, values)
-                f = _zero_mean(f)
+                f = _zero_mean(ball_indicator(ctx, 1, N - 1, N, 1 - N))
                 prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=K, u0=f)
                 report = dependence_check(prob, N, tol=tol)
                 worst = max(worst, report.max_leak)

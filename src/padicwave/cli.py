@@ -29,17 +29,17 @@ from pathlib import Path
 from .errors import (
     ConfigError,
     GridCapError,
-    LizorkinError,
     PadicWaveError,
     SpectralCompatibilityError,
 )
 from .functions import (
+    RATIONAL,
     CosetFunction,
     embed_radial,
     load_coset_function,
 )
+from .lattice import grid_cap
 from .padic import PrimeContext
-from .phases import value_to_complex
 from .solver import (
     WaveProblem,
     auto_time_sweep,
@@ -57,9 +57,12 @@ EXIT_CONFIG = 2
 EXIT_GRID_CAP = 3
 EXIT_REFUSED = 4
 
-# the largest numbers built-in data may hold, in bits: a CSV value is also
-# written as a float, and a float overflows past 2**1024
+# the largest numbers built-in data and time-profile weights may hold, in bits:
+# a CSV value is also written as a float, a complex profile weighs its labels
+# by floats p**L, and a float overflows past 2**1024
 BUILTIN_BITS = 1000
+# a slice is written to slice_L{L}.csv, and a file name holds at most 255 bytes
+LABEL_DIGITS = 255 - len("slice_L.csv")
 
 
 def _parse_number(text):
@@ -111,12 +114,14 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _value_columns(v):
-    """(re, im, num, den) strings for one table value."""
-    if isinstance(v, Fraction):
-        return _fmt_float(v), "0", str(v.numerator), str(v.denominator)
-    c = value_to_complex(v)
-    return _fmt_float(c.real), _fmt_float(c.imag), "", ""
+def _exact_columns(num: int, den: int) -> list:
+    """(re, im, num, den) for num/den; int true division rounds as float(Fraction) does."""
+    g = math.gcd(num, den)
+    return [_fmt_float(num / den), "0", str(num // g), str(den // g)]
+
+
+def _complex_columns(c: complex) -> list:
+    return [_fmt_float(c.real), _fmt_float(c.imag), "", ""]
 
 
 def _frac_str(q: Fraction) -> str:
@@ -219,12 +224,11 @@ def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
     if parts and parts[0] == "sphere-indicator":
         if len(parts) != 2:
             raise ConfigError("usage: u0_spec = 'sphere-indicator N'")
-        return _builtin_u0(cfg, ctx, parts[1], 1, Fraction(1))
+        return _builtin_u0(cfg, ctx, parts[1], 1, 1)
     if parts and parts[0] == "eigen":
         if len(parts) != 3:
             raise ConfigError("usage: u0_spec = 'eigen N C'")
-        C = _parse_number(parts[2])
-        return _builtin_u0(cfg, ctx, parts[1], cfg.K, Fraction(C) if isinstance(C, int) else C)
+        return _builtin_u0(cfg, ctx, parts[1], cfg.K, _parse_number(parts[2]))
     path = Path(cfg.u0_spec)
     if not path.exists():
         raise ConfigError(f"u0_spec {cfg.u0_spec!r} is neither a builtin nor a file")
@@ -251,7 +255,7 @@ def _builtin_u0(cfg: RunConfig, ctx: PrimeContext, N_text: str, K: int, C) -> Co
     """
     N = _parsed("u0_spec", int, N_text)
     bits = (abs(K * N) + 2) * cfg.n * math.log2(ctx.p)
-    if isinstance(C, Fraction):
+    if not isinstance(C, float):  # an int or a Fraction
         bits += max(C.numerator.bit_length(), C.denominator.bit_length())
     if bits > BUILTIN_BITS:
         raise ConfigError(
@@ -272,32 +276,67 @@ def _build_problem(cfg: RunConfig) -> WaveProblem:
 
 def _write_slice_csv(path: Path, coords: list, field: CosetFunction) -> None:
     """One row per coset: its rendered coordinates (from coords, in grid order) and value."""
-    n = field.n
+    if field.kind == RATIONAL:
+        columns = (_exact_columns(num, field.den) for num in field.cells)
+    else:
+        columns = map(_complex_columns, field.complex_values())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"x{i}" for i in range(n)] + ["re", "im", "num", "den"])
-        for xs, v in zip(coords, field.values):
-            w.writerow(xs + list(_value_columns(v)))
+        w.writerow([f"x{i}" for i in range(field.n)] + ["re", "im", "num", "den"])
+        for xs, cols in zip(coords, columns):
+            w.writerow(xs + cols)
 
 
 def _write_profile_csv(path: Path, profile) -> None:
+    def columns(v) -> list:
+        return _exact_columns(*v.as_integer_ratio()) if profile.exact else _complex_columns(v)
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["kind", "t_exp", "re", "im", "num", "den"])
-        w.writerow(["core", ""] + list(_value_columns(profile.core_value)))
+        w.writerow(["core", ""] + columns(profile.core_value))
         for offset, v in enumerate(profile.shells):
-            w.writerow(
-                ["shell", str(profile.shell_lo + offset)] + list(_value_columns(v))
-            )
+            w.writerow(["shell", str(profile.shell_lo + offset)] + columns(v))
+
+
+def _digits(L: int) -> int:
+    """About how many decimal digits |L| has, without building str(L)."""
+    return int(abs(L).bit_length() * math.log10(2)) + 1
+
+
+def _time_labels(prob: WaveProblem, cfg: RunConfig) -> list:
+    """The labels to write, refused before anything is written when a slice
+    file name would pass 255 bytes or a time profile would weigh its labels
+    by p**L past BUILTIN_BITS (exit 2), or when the auto sweep, the range of
+    K*(N_max - N_min) + 4 labels, holds more than the grid cap allows cosets
+    (exit 3).  The auto sweep is judged on its ends and length."""
+    auto = auto_time_sweep(prob)
+    sweep = auto if cfg.sweep == "auto" else cfg.sweep
+    ends = (auto[0], auto[-1]) if sweep is auto else (min(sweep, default=0), max(sweep, default=0))
+    for L in ends:  # str(L) holds the digits of |L|, and a sign when L < 0
+        if abs(L) >= 10 ** (LABEL_DIGITS - (L < 0)):
+            raise ConfigError(
+                f"a time label of about {_digits(L)} digits would name a slice file "
+                "longer than the 255 bytes a file name can hold")
+    # a profile weighs label L of the auto sweep by p**L, from auto.start - 1 on
+    top = max(abs(auto.start - 1), abs(auto.stop - 1))
+    if cfg.profile_points and top > BUILTIN_BITS / math.log2(prob.ctx.p):
+        raise ConfigError(
+            f"a time profile would weigh its labels by p**L with |L| of about {_digits(top)} "
+            f"digits, past the {BUILTIN_BITS} bits a float can hold")
+    count = auto.stop - auto.start  # len() of a range holds only a machine-size count
+    if sweep is auto and count > grid_cap():
+        raise GridCapError(f"the auto time sweep would hold K*(N_max - N_min) + 4 = {count} "
+                           f"labels, above the cap {grid_cap()}")
+    return list(sweep)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     prob = _build_problem(cfg)
+    sweep = _time_labels(prob, cfg)
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-
-    sweep = list(auto_time_sweep(prob)) if cfg.sweep == "auto" else list(cfg.sweep)
     # every slice lives on u0's grid, so its coordinate columns are rendered once
     coords = [[_frac_str(c) for c in rep] for rep in prob.u0.grid.representatives]
     _write_slice_csv(out / "u0.csv", coords, prob.u0)
@@ -375,17 +414,15 @@ def cmd_eigen_check(args: argparse.Namespace) -> int:
 
     ctx = PrimeContext(args.p)
     alpha = _parse_number(args.alpha)
-    C = _parse_number(args.C)
-    C = Fraction(C) if isinstance(C, int) else C
-    r = eigenfunction(args.N, C, args.K, ctx, args.n)
+    r = eigenfunction(args.N, _parse_number(args.C), args.K, ctx, args.n)
     f = embed_radial(r, -args.K * args.N + 1, args.K * args.N, args.n)
     params = OperatorParams(ctx=ctx, n=args.n, alpha=alpha)
     lam = params.power_of_p(args.K * args.N)
     worst = 0.0
     for got in (apply_spectral(params, f), apply_hypersingular_field(params, f)):
-        for v, w in zip(got.values, f.values):
-            ref = value_to_complex(w) * complex(float(lam))
-            err = abs(value_to_complex(v) - ref)
+        for v, w in zip(got.complex_values(), f.complex_values()):
+            ref = w * complex(float(lam))
+            err = abs(v - ref)
             worst = max(worst, err / max(abs(ref), 1e-30))
     tol = args.tol_eigen if args.tol_eigen is not None else 1e-10
     ok = worst <= tol
@@ -494,10 +531,7 @@ def main(argv=None) -> int:
     except SpectralCompatibilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ConfigError, LizorkinError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PadicWaveError as exc:
+    except PadicWaveError as exc:  # a bad config, or data outside the zero-mean class
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,17 +18,10 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .functions import CosetFunction, RadialShellFunction
+from .functions import COMPLEX, RATIONAL, CosetFunction, RadialShellFunction
 from .lattice import enumerate_cosets
 from .padic import phase_to_complex
-from .phases import (
-    PhaseSum,
-    rational_value,
-    reduce_value,
-    value_add,
-    value_scale,
-    value_to_complex,
-)
+from .phases import PhaseSum, rational_value
 
 _ZERO = Fraction(0)
 
@@ -40,7 +33,8 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     and the phase {xi . x}_p is (sum_j a_j * b_j mod p**W) / p**W.  Every
     phase is carried as an integer index k mod Q (Q = p**W, or a finer power
     of p when a PhaseSum value has finer phases), and the exact sums as
-    integer coefficients over one common denominator.
+    integer coefficients over one common denominator: a rational table's
+    own, or the lcm of a phase table's coefficients.
     """
     ctx, n = f.ctx, f.n
     p, M, ell = ctx.p, f.support_exp, f.resolution_exp
@@ -50,11 +44,24 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     in_a = f.grid.digits
     out_b = out_grid.digits
     out_values = []
-    if f.is_exact():
+    if f.kind == COMPLEX:
+        roots = [phase_to_complex(Fraction(k, width_q)) for k in range(width_q)]
+        inputs = [(tuple(sign * aj for aj in a), c) for a, c in zip(in_a, f.cells)]
+        fvol = float(vol)
+        for b in out_b:
+            acc_c = 0j
+            for a, c in inputs:
+                acc_c += c * roots[sum(map(mul, a, b)) % width_q]
+            out_values.append(acc_c * fvol)
+        return CosetFunction(out_grid, out_values)
+    if f.kind == RATIONAL:  # each nonzero numerator is one term of phase index 0
+        big_q, den = width_q, f.den
+        terms = [(tuple(sign * aj for aj in a), [(0, c)]) for a, c in zip(in_a, f.cells) if c]
+    else:
         # each nonzero input as its phase terms; a zero input adds no term
         inputs = [
             (a, v.terms if isinstance(v, PhaseSum) else {_ZERO: v})
-            for a, v in zip(in_a, f.values)
+            for a, v in zip(in_a, f.cells)
             if v != 0
         ]
         big_q = max([width_q] + [q.denominator for _, t in inputs for q in t])
@@ -70,32 +77,20 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
             )
             for a, t in inputs
         ]
-        for b in out_b:
-            acc: dict[int, int] = {}
-            for a, v_terms in terms:
-                k = sum(map(mul, a, b))
-                for kq, c in v_terms:
-                    key = (k + kq) % big_q
-                    acc[key] = acc.get(key, 0) + c
-            r = rational_value(acc, big_q, p)
-            if r is not None:
-                out_values.append(Fraction(r, den) * vol)
-            else:
-                out_values.append(PhaseSum(
-                    p, {Fraction(k, big_q): Fraction(c, den) * vol for k, c in acc.items()}
-                ))
-    else:
-        roots = [phase_to_complex(Fraction(k, width_q)) for k in range(width_q)]
-        inputs = [
-            (tuple(sign * aj for aj in a), value_to_complex(v))
-            for a, v in zip(in_a, f.values)
-        ]
-        fvol = float(vol)
-        for b in out_b:
-            acc_c = 0j
-            for a, c in inputs:
-                acc_c += c * roots[sum(map(mul, a, b)) % width_q]
-            out_values.append(acc_c * fvol)
+    for b in out_b:
+        acc: dict[int, int] = {}
+        for a, v_terms in terms:
+            k = sum(map(mul, a, b))
+            for kq, c in v_terms:
+                key = (k + kq) % big_q
+                acc[key] = acc.get(key, 0) + c
+        r = rational_value(acc, big_q, p)
+        if r is not None:
+            out_values.append(Fraction(r, den) * vol)
+        else:
+            out_values.append(PhaseSum(
+                p, {Fraction(k, big_q): Fraction(c, den) * vol for k, c in acc.items()}
+            ))
     return CosetFunction(out_grid, out_values)
 
 
@@ -107,6 +102,25 @@ def forward(f: CosetFunction) -> CosetFunction:
 def inverse(g: CosetFunction) -> CosetFunction:
     """Inverse transform; inverse(forward(f)) reproduces f."""
     return _transform(g, -1)
+
+
+def multiply_radial(g: CosetFunction, weight) -> CosetFunction:
+    """g times weight(e) on each coset of norm p**e (e = -inf at the origin).
+
+    This damps or weights a transform before it is inverted.  Exact weights
+    keep an exact table exact; float weights, or a complex table, give a
+    complex table.
+    """
+    norms = g.grid.norm_exponents
+    w = {e: weight(e) for e in set(norms)}
+    if g.kind != COMPLEX and all(isinstance(x, Fraction) for x in w.values()):
+        return CosetFunction(g.grid, [
+            v.scaled(w[e]) if isinstance(v, PhaseSum) else v * w[e]
+            for v, e in zip(g.values, norms)
+        ])
+    # as complex numbers, times each rational weight rounded to a float
+    w = {e: float(x) if isinstance(x, Fraction) else complex(x) for e, x in w.items()}
+    return CosetFunction(g.grid, [c * w[e] for c, e in zip(g.complex_values(), norms)])
 
 
 def radial_inverse(r: RadialShellFunction, n: int = 1) -> RadialShellFunction:
@@ -121,17 +135,15 @@ def radial_inverse(r: RadialShellFunction, n: int = 1) -> RadialShellFunction:
     lo, hi = r.shell_lo, r.shell_hi
     sphere_factor = 1 - p**-n
 
+    # exact weights on exact values; on complex ones, each weight rounded to a float
+    term = mul if r.exact else (lambda v, w: v * float(w))
+
     def value_at(m: int):
         core_top = min(lo - 1, -m)
-        acc = value_scale(r.core_value, p ** (n * core_top))
+        acc = term(r.core_value, p ** (n * core_top))
         for j in range(lo, min(hi, -m) + 1):
-            acc = value_add(
-                acc,
-                value_scale(r.value_at_exponent(j), sphere_factor * p ** (n * j)),
-            )
-        boundary = r.value_at_exponent(-m + 1)
-        acc = value_add(acc, value_scale(boundary, -(p ** (n * -m))))
-        return reduce_value(acc)
+            acc = acc + term(r.value_at_exponent(j), sphere_factor * p ** (n * j))
+        return acc + term(r.value_at_exponent(-m + 1), -(p ** (n * -m)))
 
     out_lo = -hi + 1
     out_hi = -lo + 1

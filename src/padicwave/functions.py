@@ -2,13 +2,16 @@
 
 A CosetFunction is supported in the ball B_M^n and constant on cosets of
 B_{-ell}^n, so a finite table of one value per coset describes it totally:
-a tuple of values in grid order, addressed through ``CosetGrid.position``.
-Values may be exact (int, Fraction, PhaseSum) or floating (float, complex);
-exact values stay exact through every operation here.
+a tuple of cells in grid order, addressed through ``CosetGrid.position``.
+Each table has one value kind, fixed when it is built: rational (integer
+numerators over their least common denominator), complex (any table holding
+a float), or phase (Fractions and ``PhaseSum``s, the exact transform's
+inputs and outputs, which other layers read through their complex values).
 
 A RadialShellFunction describes a radial function by one value per norm
 shell: zero above p**shell_hi, explicit values on the listed shells, and a
 single core value on the ball below the lowest shell (origin included).
+Its values are all Fractions or all complex numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import ConfigError, NonRadialError
 from .lattice import (
@@ -26,43 +29,59 @@ from .lattice import (
     enumerate_cosets,
     vector_norm_exponent,
 )
-from .padic import INF, NEG_INF, PrimeContext, rational_valuation
-from .phases import (
-    PhaseSum,
-    is_exact_value,
-    reduce_value,
-    value_add,
-    value_scale,
-    value_to_complex,
-    values_equal,
-)
+from .padic import NEG_INF, PrimeContext
+from .phases import PhaseSum, value_to_complex
 
 RADIAL_FLOAT_TOL = 1e-12
 PHI_TOL = 1e-10
 
+RATIONAL, COMPLEX, PHASE = "rational", "complex", "phase"
+_KINDS = {int: RATIONAL, Fraction: RATIONAL, PhaseSum: PHASE, float: COMPLEX, complex: COMPLEX}
 
-def _normalize_value(v):
-    if isinstance(v, bool):
-        raise ConfigError("boolean table values are ambiguous; use 0 or 1")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, (Fraction, float, complex, PhaseSum)):
-        return v
-    raise ConfigError(f"unsupported table value {v!r}")
+
+def _value_kind(values) -> str:
+    """A table's kind: complex if any value is inexact, else phase if any is a PhaseSum."""
+    kinds = {_KINDS.get(t) for t in set(map(type, values))}
+    if None in kinds:
+        v = next(v for v in values if type(v) not in _KINDS)
+        if isinstance(v, bool):
+            raise ConfigError("boolean table values are ambiguous; use 0 or 1")
+        raise ConfigError(f"unsupported table value {v!r}")
+    return COMPLEX if COMPLEX in kinds else PHASE if PHASE in kinds else RATIONAL
+
+
+def _over_common_den(values) -> tuple[int, list[int]]:
+    """Exact rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class CosetFunction:
-    """Finite coset table: a tuple of values in grid order; treat as immutable."""
+    """Finite coset table of one value kind, in grid order; treat as immutable.
 
-    __slots__ = ("grid", "values")
+    ``CosetFunction(grid, values)`` decides the kind from the values, and
+    ``CosetFunction(grid, nums, den)`` is the rational table nums[i] / den.
+    ``cells`` holds a rational table's numerators over ``den``, or the values.
+    """
 
-    def __init__(self, grid: CosetGrid, values):
-        self.grid = grid
-        self.values = tuple(_normalize_value(v) for v in values)
-        if len(self.values) != len(grid):
-            raise ConfigError(
-                f"expected {len(grid)} values in grid order, got {len(self.values)}"
-            )
+    __slots__ = ("grid", "kind", "den", "cells", "_values")
+
+    def __init__(self, grid: CosetGrid, values, den: int | None = None):
+        values = list(values)
+        if len(values) != len(grid):
+            raise ConfigError(f"expected {len(grid)} values in grid order, got {len(values)}")
+        self.kind = RATIONAL if den is not None else _value_kind(values)
+        if den is not None:  # in lowest terms: the least common denominator
+            g = math.gcd(den, *values)
+            if g > 1:
+                den, values = den // g, [v // g for v in values]
+        elif self.kind == RATIONAL:
+            den, values = _over_common_den(values)
+        elif self.kind == COMPLEX:
+            values = [v if type(v) is complex else value_to_complex(v) for v in values]
+        else:
+            values = [Fraction(v) if type(v) is int else v for v in values]
+        self.grid, self.den, self.cells, self._values = grid, den, tuple(values), None
 
     # -- construction -----------------------------------------------------
 
@@ -95,6 +114,20 @@ class CosetFunction:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def values(self) -> tuple:
+        """The values in grid order (Fractions for a rational table), built on first use."""
+        if self._values is None:
+            den = self.den
+            self._values = tuple(Fraction(v, den) for v in self.cells) if den else self.cells
+        return self._values
+
+    def complex_values(self):
+        """The values as complex numbers in grid order (num / den rounds as float(Fraction))."""
+        if self.kind == RATIONAL:
+            return [complex(v / self.den) for v in self.cells]
+        return self.cells if self.kind == COMPLEX else list(map(value_to_complex, self.cells))
+
+    @property
     def ctx(self) -> PrimeContext:
         return self.grid.ctx
 
@@ -115,70 +148,62 @@ class CosetFunction:
         return zip(self.grid.representatives, self.values)
 
     def is_exact(self) -> bool:
-        return all(is_exact_value(v) for v in self.values)
+        return self.kind != COMPLEX
 
     def __repr__(self) -> str:
         return (
             f"CosetFunction(p={self.ctx.p}, n={self.n}, "
             f"support_exp={self.support_exp}, resolution_exp={self.resolution_exp}, "
-            f"{len(self.grid)} cosets)"
+            f"{len(self.grid)} {self.kind} cosets)"
         )
+
+
+def _cell_value(f: CosetFunction, i: int):
+    return Fraction(f.cells[i], f.den) if f.kind == RATIONAL else f.cells[i]
 
 
 def evaluate(f: CosetFunction, x):
     """Value of f at a point of Q_p^n (0 outside the support ball)."""
     i = f.grid.position(as_fraction_vector(x, f.n))
-    return Fraction(0) if i is None else f.values[i]
+    return Fraction(0) if i is None else _cell_value(f, i)
 
 
 def integrate(f: CosetFunction):
     """Haar integral of f: the table sum times the coset volume.
 
-    Exact (Fraction) whenever every value is exact and the character parts
-    cancel; complex otherwise.
+    A Fraction for a rational table, complex otherwise.
     """
     vol = f.grid.coset_volume
-    values = f.values
-    if all(isinstance(v, Fraction) for v in values):
-        # integers over one common denominator, as in CosetAverages
-        den = math.lcm(*(v.denominator for v in values))
-        return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den) * vol
-    if f.is_exact():
-        acc = Fraction(0)
-        for v in values:
-            acc = value_add(acc, v)
-        return reduce_value(value_scale(acc, vol))
-    return sum(value_to_complex(v) for v in values) * float(vol)
+    if f.kind == RATIONAL:
+        return Fraction(sum(f.cells), f.den) * vol
+    return sum(f.complex_values()) * float(vol)
 
 
 def l1_norm(f: CosetFunction):
     """Integral of |f|; a Fraction for rational tables, float otherwise."""
     vol = f.grid.coset_volume
-    vals = f.values
-    if all(isinstance(v, Fraction) for v in vals):
-        # integers over one common denominator, as in integrate
-        den = math.lcm(*(v.denominator for v in vals))
-        return Fraction(sum(abs(v.numerator) * (den // v.denominator) for v in vals), den) * vol
-    return sum(abs(value_to_complex(v)) for v in vals) * float(vol)
+    if f.kind == RATIONAL:
+        return Fraction(sum(map(abs, f.cells)), f.den) * vol
+    # left to right, as sum() adds floats before Python 3.12, so CSV and JSON
+    # output is the same on every version
+    return reduce(float.__add__, map(abs, f.complex_values()), 0.0) * float(vol)
 
 
 def is_in_Psi(f: CosetFunction, tol: float = 0.0) -> bool:
     """Vanishing at the origin: the value on the coset containing 0."""
-    v = reduce_value(f.values[0])
-    if isinstance(v, Fraction):
-        return v == 0 if tol == 0 else abs(v) <= tol
-    return abs(value_to_complex(v)) <= tol
+    v = _cell_value(f, 0)
+    return abs(v if isinstance(v, Fraction) else value_to_complex(v)) <= tol
 
 
 def is_in_Phi(f: CosetFunction, tol: float = PHI_TOL) -> bool:
-    """Vanishing mean, judged exactly for an exact table.
+    """Vanishing mean, judged exactly for a rational table.
 
-    A float table passes when |integral| <= tol * max(1, ||f||_1), so the
+    Any other table passes when |integral| <= tol * max(1, ||f||_1), so the
     test scales with the data.
     """
     s = integrate(f)
-    if is_exact_value(s):
-        return values_equal(s, Fraction(0))
+    if f.kind == RATIONAL:
+        return s == 0
     return abs(s) <= tol * max(1.0, l1_norm(f))
 
 
@@ -206,14 +231,22 @@ def _common_grid(f: CosetFunction, g: CosetFunction):
 
 
 def add(f: CosetFunction, g: CosetFunction) -> CosetFunction:
+    """f + g, exact when both are rational and complex otherwise."""
     a, b = _common_grid(f, g)
-    return CosetFunction(a.grid, [value_add(v, w) for v, w in zip(a.values, b.values)])
+    if a.kind == b.kind == RATIONAL:
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return CosetFunction(a.grid, [v * sa + w * sb for v, w in zip(a.cells, b.cells)], den)
+    return CosetFunction(a.grid, map(complex.__add__, a.complex_values(), b.complex_values()))
 
 
 def scale(f: CosetFunction, c) -> CosetFunction:
-    if isinstance(c, int):
-        c = Fraction(c)
-    return CosetFunction(f.grid, [value_scale(v, c) for v in f.values])
+    """c * f for a rational or a float/complex scalar c."""
+    exact = isinstance(c, (int, Fraction))
+    if exact and f.kind == RATIONAL:
+        return CosetFunction(f.grid, [v * c.numerator for v in f.cells], f.den * c.denominator)
+    c = float(c) if exact else complex(c)
+    return CosetFunction(f.grid, [v * c for v in f.complex_values()])
 
 
 def subtract(f: CosetFunction, g: CosetFunction) -> CosetFunction:
@@ -235,18 +268,13 @@ def translate(f: CosetFunction, a) -> CosetFunction:
 
 def max_abs_diff(f: CosetFunction, g: CosetFunction) -> float:
     a, b = _common_grid(f, g)
-    worst = 0.0
-    for v, w in zip(a.values, b.values):
-        d = abs(value_to_complex(v) - value_to_complex(w))
-        if d > worst:
-            worst = d
-    return worst
+    return max(map(abs, map(complex.__sub__, a.complex_values(), b.complex_values())), default=0.0)
 
 
 def equal_exact(f: CosetFunction, g: CosetFunction) -> bool:
     """Exact pointwise equality (requires exact tables)."""
     a, b = _common_grid(f, g)
-    return all(values_equal(v, w) for v, w in zip(a.values, b.values))
+    return a.values == b.values
 
 
 # -- coset averages ----------------------------------------------------------
@@ -274,23 +302,15 @@ class CosetAverages:
     order those are the leading M + r digits of each coordinate's position;
     so at level r the cosets are the blocks of p**(ell - r) positions a side.
     The block sums are built once, each level from the finer one above it.
-    A rational table is carried as integers over one common denominator, so
-    the sums are exact integer additions and each average is one Fraction;
-    any other table is carried as complex numbers.
+    A rational table's sums are exact integer sums of its numerators; any
+    other table is carried as complex numbers.
     """
 
-    __slots__ = ("f", "exact", "den", "sums")
+    __slots__ = ("f", "sums")
 
     def __init__(self, f: CosetFunction):
         self.f = f
-        values = f.values
-        self.exact = all(isinstance(v, Fraction) for v in values)
-        if self.exact:
-            self.den = math.lcm(*(v.denominator for v in values))
-            level = [v.numerator * (self.den // v.denominator) for v in values]
-        else:
-            self.den = None
-            level = [value_to_complex(v) for v in values]
+        level = f.cells if f.kind == RATIONAL else f.complex_values()
         p, n, M, ell = f.ctx.p, f.n, f.support_exp, f.resolution_exp
         self.sums = {ell: level}
         for r in range(ell - 1, -M - 1, -1):
@@ -308,7 +328,7 @@ class CosetAverages:
         p, n = self.f.ctx.p, self.f.n
         parent = _block_ids(p, n, self.f.support_exp + r, 1)
         fine, coarse = self.sums[r], self.sums[r - 1]
-        if self.exact:
+        if self.f.kind == RATIONAL:
             q = p**n
             return any(s * q != coarse[g] for g, s in zip(parent, fine))
         cf, cc = self._count(r), self._count(r - 1)
@@ -320,22 +340,20 @@ class CosetAverages:
         p, n, M, ell = f.ctx.p, f.n, f.support_exp, f.resolution_exp
         parent = _block_ids(p, n, M + hi, hi - lo)
         fine, coarse = self.sums[hi], self.sums[lo]
-        if self.exact:
+        if f.kind == RATIONAL:
             q = p ** (n * (hi - lo))
             cn, cd = c.numerator, c.denominator
-            den = cd * self.den * self._count(lo)
-            by_block = [
-                Fraction(cd * coarse[g] + cn * (s * q - coarse[g]), den)
-                for g, s in zip(parent, fine)
-            ]
+            den = cd * f.den * self._count(lo)
+            by_block = [cd * coarse[g] + cn * (s * q - coarse[g]) for g, s in zip(parent, fine)]
         else:
+            den = None
             cf, cl, ch = float(c), self._count(lo), self._count(hi)
             by_block = [
                 coarse[g] / cl + cf * (s / ch - coarse[g] / cl)
                 for g, s in zip(parent, fine)
             ]
         cells = _block_ids(p, n, M + ell, ell - hi)
-        return CosetFunction(f.grid, [by_block[g] for g in cells])
+        return CosetFunction(f.grid, [by_block[g] for g in cells], den)
 
 
 # -- radial functions --------------------------------------------------------
@@ -346,17 +364,17 @@ class RadialShellFunction:
 
     shells[i] is the value on the sphere of radius p**(shell_lo + i); the
     core value holds on all of B_{shell_lo - 1} including the origin, and
-    the function vanishes on every sphere above p**shell_hi.  Treat as
-    immutable.
+    the function vanishes on every sphere above p**shell_hi.  The values are
+    all Fractions (``exact``) or all complex numbers.  Treat as immutable.
     """
 
-    __slots__ = ("ctx", "core_value", "shells", "shell_lo")
+    __slots__ = ("ctx", "core_value", "shells", "shell_lo", "exact")
 
     def __init__(self, ctx: PrimeContext, core_value, shells, shell_lo: int):
-        self.ctx = ctx
-        self.core_value = _normalize_value(core_value)
-        self.shells = tuple(_normalize_value(v) for v in shells)
-        self.shell_lo = shell_lo
+        self.exact = _value_kind((core_value, *shells)) == RATIONAL
+        convert = Fraction if self.exact else value_to_complex
+        self.ctx, self.core_value, self.shell_lo = ctx, convert(core_value), shell_lo
+        self.shells = tuple(map(convert, shells))
 
     @property
     def shell_hi(self) -> int:
@@ -370,95 +388,68 @@ class RadialShellFunction:
             return Fraction(0)
         return self.shells[int(gamma) - self.shell_lo]
 
-    def evaluate(self, x):
-        q = x if isinstance(x, Fraction) else Fraction(x)
-        v = rational_valuation(q, self.ctx.p)
-        return self.value_at_exponent(NEG_INF if v == INF else -v)
-
     def scaled(self, c) -> "RadialShellFunction":
-        return RadialShellFunction(
-            self.ctx,
-            value_scale(self.core_value, c),
-            tuple(value_scale(v, c) for v in self.shells),
-            self.shell_lo,
-        )
+        if self.exact and isinstance(c, (int, Fraction)):
+            values = [v * c for v in (self.core_value, *self.shells)]
+        else:
+            c = float(c) if isinstance(c, (int, Fraction)) else complex(c)
+            values = [complex(v) * c for v in (self.core_value, *self.shells)]
+        return RadialShellFunction(self.ctx, values[0], values[1:], self.shell_lo)
 
     def normalize(self) -> "RadialShellFunction":
         """Trim zero top shells; absorb bottom shells equal to the core."""
         shells = list(self.shells)
         lo = self.shell_lo
-        while shells and values_equal(shells[-1], Fraction(0)):
+        while shells and shells[-1] == 0:
             shells.pop()
-        while shells and values_equal(shells[0], self.core_value):
+        while shells and shells[0] == self.core_value:
             shells.pop(0)
             lo += 1
         return RadialShellFunction(self.ctx, self.core_value, tuple(shells), lo)
 
+    def _masses(self, n: int) -> list:
+        """Each value times the Haar volume of its ball or shell in Q_p^n."""
+        p = Fraction(self.ctx.p)
+        vols = [p ** (n * (self.shell_lo - 1))] + [
+            (1 - p**-n) * p ** (n * (self.shell_lo + i)) for i in range(len(self.shells))
+        ]
+        if not self.exact:
+            vols = map(float, vols)
+        return [v * w for v, w in zip((self.core_value, *self.shells), vols)]
+
     def integrate(self, n: int = 1):
         """Haar integral over Q_p^n (the shell sum plus the core ball)."""
-        p = Fraction(self.ctx.p)
-        acc = value_scale(self.core_value, p ** (n * (self.shell_lo - 1)))
-        sphere_factor = 1 - p**-n
-        for i, v in enumerate(self.shells):
-            acc = value_add(
-                acc, value_scale(v, sphere_factor * p ** (n * (self.shell_lo + i)))
-            )
-        return reduce_value(acc)
+        return sum(self._masses(n))
 
     def l1_norm(self, n: int = 1):
-        p = Fraction(self.ctx.p)
-        exact = isinstance(self.core_value, Fraction) and all(
-            isinstance(v, Fraction) for v in self.shells
-        )
-        core_w = p ** (n * (self.shell_lo - 1))
-        sphere_factor = 1 - p**-n
-        if exact:
-            acc = abs(self.core_value) * core_w
-            for i, v in enumerate(self.shells):
-                acc += abs(v) * sphere_factor * p ** (n * (self.shell_lo + i))
-            return acc
-        acc = abs(value_to_complex(self.core_value)) * float(core_w)
-        for i, v in enumerate(self.shells):
-            acc += abs(value_to_complex(v)) * float(
-                sphere_factor * p ** (n * (self.shell_lo + i))
-            )
-        return acc
+        return sum(map(abs, self._masses(n)))
 
 
 def radial_profile(f: CosetFunction, tol: float | None = None) -> RadialShellFunction:
     """Collapse a radial table to shell values.
 
     Raises NonRadialError, naming two witnesses, if any norm shell carries
-    two distinct values.  Exact values must match exactly; float values may
-    differ by tol (default 1e-12 scaled by the largest magnitude).
+    two distinct values.  A rational table's values must match exactly;
+    complex values may differ by tol (default 1e-12 scaled by the largest
+    magnitude).
     """
-    float_tol = tol
-    if float_tol is None and not f.is_exact():
-        scale_ = max(1.0, max(abs(value_to_complex(w)) for w in f.values))
-        float_tol = RADIAL_FLOAT_TOL * scale_
-    by_shell: dict = {}
-    witness: dict = {}
-    for rep, v in f.items():
-        key = vector_norm_exponent(rep, f.ctx.p)  # int, or -inf at the origin
-        if key not in by_shell:
-            by_shell[key] = v
-            witness[key] = rep
-            continue
-        u = by_shell[key]
-        if is_exact_value(u) and is_exact_value(v):
-            same = values_equal(u, v)
-        else:
-            same = abs(value_to_complex(u) - value_to_complex(v)) <= float_tol
-        if not same:
+    rational = f.kind == RATIONAL
+    cells = f.cells if rational else f.complex_values()
+    if tol is None and not rational:
+        tol = RADIAL_FLOAT_TOL * max(1.0, max(map(abs, cells)))
+    first: dict = {}  # norm exponent (-inf at the origin) -> its first coset
+    for i, (key, v) in enumerate(zip(f.grid.norm_exponents, cells)):
+        j = first.setdefault(key, i)
+        if (cells[j] != v) if rational else (abs(cells[j] - v) > tol):
+            reps = f.grid.representatives
             raise NonRadialError(
                 f"values differ on the sphere |x| = p**{key}: "
-                f"f({witness[key]}) = {u!r} but f({rep}) = {v!r}"
+                f"f({reps[j]}) = {_cell_value(f, j)!r} but f({reps[i]}) = {_cell_value(f, i)!r}"
             )
+    value = {key: _cell_value(f, j) for key, j in first.items()}
     lo = -f.resolution_exp + 1
-    hi = f.support_exp
-    core = by_shell.get(NEG_INF, Fraction(0))
-    shells = tuple(by_shell[g] for g in range(lo, hi + 1))
-    return RadialShellFunction(f.ctx, core, shells, lo)
+    shells = tuple(value[g] for g in range(lo, f.support_exp + 1))
+    return RadialShellFunction(f.ctx, value[NEG_INF], shells, lo)
 
 
 def embed_radial(
@@ -471,22 +462,23 @@ def embed_radial(
     or below -resolution_exp already equals the core value).
     """
     for g in range(support_exp + 1, r.shell_hi + 1):
-        if not values_equal(r.value_at_exponent(g), Fraction(0)):
+        if r.value_at_exponent(g) != 0:
             raise ConfigError(
                 f"radial function is nonzero on |x| = p**{g}, outside "
                 f"the requested support exponent {support_exp}"
             )
     for g in range(r.shell_lo, min(-resolution_exp, r.shell_hi) + 1):
-        if not values_equal(r.value_at_exponent(g), r.core_value):
+        if r.value_at_exponent(g) != r.core_value:
             raise ConfigError(
                 f"radial function varies on |x| = p**{g}, below the "
                 f"requested resolution exponent {resolution_exp}"
             )
     grid = enumerate_cosets(r.ctx, support_exp, resolution_exp, n)
-    p = r.ctx.p
-    return CosetFunction(
-        grid, [r.value_at_exponent(vector_norm_exponent(rep, p)) for rep in grid.representatives]
-    )
+    exps = [NEG_INF, *range(-resolution_exp + 1, support_exp + 1)]
+    by_exp = [r.value_at_exponent(e) for e in exps]
+    den, by_exp = _over_common_den(by_exp) if r.exact else (None, by_exp)
+    cell = dict(zip(exps, by_exp))
+    return CosetFunction(grid, [cell[e] for e in grid.norm_exponents], den)
 
 
 # -- ready-made tables -------------------------------------------------------
@@ -522,11 +514,12 @@ def sphere_indicator(
 
 
 def _value_to_json(v):
-    v = reduce_value(v)
+    if isinstance(v, PhaseSum):  # a transform's value, written exactly when it is rational
+        r = v.as_rational()
+        v = v.to_complex() if r is None else r
     if isinstance(v, Fraction):
         return {"re": str(v), "im": "0"}
-    c = value_to_complex(v)
-    return {"re": c.real, "im": c.imag}
+    return {"re": v.real, "im": v.imag}
 
 
 def _value_from_json(entry):
@@ -536,9 +529,7 @@ def _value_from_json(entry):
         if im_f == 0:
             return re_f
         return complex(float(re_f), float(im_f))
-    if im == 0:
-        return float(re)
-    return complex(re, im)
+    return complex(re, im)  # numbers make a complex table, whatever their imaginary part
 
 
 def to_json_dict(f: CosetFunction) -> dict:
@@ -550,14 +541,10 @@ def to_json_dict(f: CosetFunction) -> dict:
     width = f.support_exp + f.resolution_exp
     p = f.ctx.p
     entries = []
-    for pos, v in enumerate(f.values):
-        digits = []
-        for _ in range(f.n * width):
-            pos, d = divmod(pos, p)
-            digits.append(d)
-        digits.reverse()
+    for a, v in zip(f.grid.digits, f.values):
         entry = _value_to_json(v)
-        entry["digits"] = [digits[j * width : (j + 1) * width] for j in range(f.n)]
+        # d_k is digit k + M of the digit coordinate a_j = x_j * p**M
+        entry["digits"] = [[aj // p**k % p for k in range(width)] for aj in a]
         entries.append(entry)
     return {
         "p": p,

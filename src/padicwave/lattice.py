@@ -94,7 +94,8 @@ class CosetGrid:
     (ctx, n, support_exp, resolution_exp) are: those fix the representatives.
     """
 
-    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "representatives", "_digits")
+    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "representatives",
+                 "_digits", "_norms")
 
     def __init__(
         self,
@@ -110,6 +111,7 @@ class CosetGrid:
         self.resolution_exp = resolution_exp
         self.representatives = representatives
         self._digits = None
+        self._norms = None
 
     def _key(self) -> tuple:
         return (self.ctx, self.n, self.support_exp, self.resolution_exp)
@@ -139,6 +141,22 @@ class CosetGrid:
             one_d = digit_reversal(self.ctx.p, self.support_exp + self.resolution_exp)
             self._digits = tuple(itertools.product(one_d, repeat=self.n))
         return self._digits
+
+    @property
+    def norm_exponents(self) -> tuple:
+        """Each coset's norm exponent e (|x| = p**e, -inf at the origin), in grid order.
+
+        Built on first use from the digits and kept: |a_j * p**-M| is
+        p**(M - v_p(a_j)), and the norm is the largest over the coordinates.
+        """
+        if self._norms is None:
+            M, width = self.support_exp, self.support_exp + self.resolution_exp
+            val = digit_valuations(self.ctx.p, width)  # v_p(0) = width: below any a != 0
+            norms = one_d = [M - val[a] for a in digit_reversal(self.ctx.p, width)]
+            for _ in range(self.n - 1):
+                norms = [e if e > d else d for e in norms for d in one_d]
+            self._norms = (NEG_INF, *norms[1:])  # position 0 is the origin coset
+        return self._norms
 
     def position(self, x) -> int | None:
         """Index in ``representatives`` of the coset holding the n-vector x.
@@ -272,8 +290,4 @@ def sphere_representatives(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Representatives of S_gamma^n modulo B_{-ell}^n."""
     grid = enumerate_cosets(ctx, radius_exp, resolution_exp, n)
-    return tuple(
-        rep
-        for rep in grid.representatives
-        if vector_norm_exponent(rep, ctx.p) == radius_exp
-    )
+    return tuple(r for r, e in zip(grid.representatives, grid.norm_exponents) if e == radius_exp)

@@ -43,10 +43,6 @@ class PhaseSum:
                     del clean[phase]
         self.terms = clean
 
-    @classmethod
-    def from_phase(cls, p: int, phase: Fraction, coeff=Fraction(1)) -> "PhaseSum":
-        return cls(p, {phase: Fraction(coeff)})
-
     def __add__(self, other: "PhaseSum") -> "PhaseSum":
         if self.p != other.p:
             raise ConfigError("cannot mix primes in one phase sum")
@@ -162,9 +158,9 @@ def _is_zero(coeffs: dict[int, Fraction], big_q: int, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Mixed-value helpers.  Table values around the package may be exact
-# (int/Fraction/PhaseSum) or floating (float/complex); these keep the exact
-# ones exact and fall back to complex arithmetic otherwise.
+# Single-value helpers for the oracles.  A value may be exact (int/Fraction/
+# PhaseSum) or floating (float/complex); these keep the exact ones exact and
+# fall back to complex arithmetic otherwise.  Tables never mix the two.
 # ---------------------------------------------------------------------------
 
 

@@ -35,6 +35,7 @@ from operator import mul
 from .errors import ConfigError, LizorkinError, SpectralCompatibilityError
 from .functions import (
     PHI_TOL,
+    RATIONAL,
     CosetAverages,
     CosetFunction,
     RadialShellFunction,
@@ -44,14 +45,8 @@ from .functions import (
     l1_norm,
     regrid,
 )
-from .lattice import SphereSpec, digit_valuations, sphere_volume, vector_norm_exponent
+from .lattice import SphereSpec, digit_valuations, sphere_volume
 from .padic import NEG_INF, PrimeContext, order_float
-from .phases import (
-    is_exact_value,
-    value_scale,
-    value_to_complex,
-    values_equal,
-)
 
 T_ZERO = NEG_INF  # time label for t = 0: |t| = 0, every mode multiplier is 1
 
@@ -111,13 +106,12 @@ def eigenfunction(
     """
     if not isinstance(K, int) or K < 1:
         raise ConfigError(f"the coupling K must be a positive integer, got {K}")
-    C = Fraction(C) if isinstance(C, int) else C
-    p = ctx.p
-    core = value_scale(C, (1 - Fraction(p) ** (-n)) * Fraction(p) ** (K * N * n))
-    shell = value_scale(C, -(Fraction(p) ** ((K * N - 1) * n)))
+    p = Fraction(ctx.p)
+    core = (1 - p ** (-n)) * p ** (K * N * n)
+    shell = -(p ** ((K * N - 1) * n))
     return RadialShellFunction(
         ctx=ctx, core_value=core, shells=(shell,), shell_lo=-K * N + 1
-    )
+    ).scaled(C)
 
 
 def eigenvalue_exponent(K: int, N: int) -> int:
@@ -255,7 +249,7 @@ class WaveProblem:
         if not is_in_Phi(u0):
             raise LizorkinError(
                 "initial data must have zero mean: integral = "
-                f"{value_to_complex(integrate(u0)):.3e}"
+                f"{complex(integrate(u0)):.3e}"
             )
         self.ctx = ctx
         self.n = n
@@ -355,22 +349,12 @@ def solve_spectral(
     prob: WaveProblem, L, u0_hat: CosetFunction | None = None
 ) -> SolutionSlice:
     """Slice at |t| = p**L by damping each frequency sphere and inverting (oracle)."""
-    from .fourier import inverse
+    from .fourier import inverse, multiply_radial
 
     if u0_hat is None:
         u0_hat = spectral_data(prob)
     b = prob.multiplier()
-    grid = u0_hat.grid
-    width = grid.support_exp + grid.resolution_exp
-    val = digit_valuations(prob.ctx.p, width)
-    # |xi| = p**(ell - v), v the least valuation of xi's digit coordinates;
-    # v = W only at xi = 0
-    by_v = [b.value(L, grid.support_exp - v) for v in range(width)] + [b.value(L, NEG_INF)]
-    values = [
-        value_scale(v, by_v[min(map(val.__getitem__, xi))])
-        for xi, v in zip(grid.digits, u0_hat.values)
-    ]
-    return SolutionSlice(L=L, field=inverse(CosetFunction(u0_hat.grid, values)))
+    return SolutionSlice(L=L, field=inverse(multiply_radial(u0_hat, lambda N: b.value(L, N))))
 
 
 def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
@@ -381,11 +365,11 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
     two spheres.  The diagonal coset (y in the same coset as x) instead
     integrates the kernel over a ball at the grid resolution.  A pair is
     read on integer digit coordinates: |x - y| = p**(M - v), v the least
-    valuation of a_j(x) - a_j(y) mod p**W.  A rational table is summed as
-    integers over one common denominator, any other as complex numbers.
+    valuation of a_j(x) - a_j(y) mod p**W.  A rational table is summed on
+    its numerators, any other as complex numbers.
     """
     if L == T_ZERO:
-        return SolutionSlice(L=L, field=CosetFunction(prob.u0.grid, prob.u0.values))
+        return SolutionSlice(L=L, field=prob.u0)
     L = int(L)
     f = prob.u0
     K, n, ctx = prob.K, prob.n, prob.ctx
@@ -399,15 +383,14 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
     val = digit_valuations(ctx.p, width)
     digits = f.grid.digits
     cols = list(zip(*digits))
-    exact = all(isinstance(v, Fraction) for v in f.values)
+    exact = f.kind == RATIONAL
     if exact:
-        den = math.lcm(*(v.denominator for v in f.values))
-        nums = [v.numerator * (den // v.denominator) for v in f.values]
+        nums = f.cells
         wden = math.lcm(diag_mass.denominator, *(w.denominator for w in weights))
         ints = [w.numerator * (wden // w.denominator) for w in weights] + [0]
         diag = diag_mass.numerator * (wden // diag_mass.denominator)
     else:
-        cs = [value_to_complex(v) for v in f.values]
+        cs = f.complex_values()
         floats = [float(w) if w else None for w in weights] + [None]
         fdiag = float(diag_mass)
     values = []
@@ -417,8 +400,7 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
             part = [val[(a - b) % q] for b in col]
             vs = part if vs is None else list(map(min, vs, part))
         if exact:
-            total = nums[i] * diag + sum(map(mul, nums, map(ints.__getitem__, vs)))
-            values.append(Fraction(total, den * wden))
+            values.append(nums[i] * diag + sum(map(mul, nums, map(ints.__getitem__, vs))))
             continue
         acc = cs[i] * fdiag
         for c, v in zip(cs, vs):
@@ -426,7 +408,7 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
             if w is not None:
                 acc += c * w
         values.append(acc)
-    return SolutionSlice(L=L, field=CosetFunction(f.grid, values))
+    return SolutionSlice(L=L, field=CosetFunction(f.grid, values, f.den * wden if exact else None))
 
 
 def auto_time_sweep(prob: WaveProblem) -> range:
@@ -441,8 +423,8 @@ def auto_time_sweep(prob: WaveProblem) -> range:
     """
     avg = prob.averages
     tol = 0.0
-    if not avg.exact:
-        tol = 1e-12 * max(1.0, max(abs(value_to_complex(v)) for v in prob.u0.values))
+    if prob.u0.kind != RATIONAL:
+        tol = 1e-12 * max(1.0, max(map(abs, prob.u0.complex_values())))
     exps = [
         N
         for N in range(-prob.u0.support_exp + 1, prob.u0.resolution_exp + 1)
@@ -477,16 +459,12 @@ def dependence_check(
     zero, so every slice is again supported in the ball; we widen the grid
     by ``pad`` so there is room outside to observe a leak if one existed.
     """
-    p = prob.ctx.p
-    confined = True
-    worst_outside = 0.0
-    for rep, v in prob.u0.items():
-        e = vector_norm_exponent(rep, p)
-        if e != NEG_INF and e > N:
-            mag = abs(value_to_complex(v))
-            worst_outside = max(worst_outside, mag)
-            if mag > tol:
-                confined = False
+
+    def outside(f: CosetFunction):
+        """|f| on the cosets outside the ball (the origin's exponent is -inf)."""
+        return [abs(c) for e, c in zip(f.grid.norm_exponents, f.complex_values()) if e > N]
+
+    confined = max(outside(prob.u0), default=0.0) <= tol
     wide = regrid(prob.u0, prob.u0.support_exp + pad, prob.u0.resolution_exp)
     wide_prob = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=prob.alpha, K=prob.K, u0=wide)
     sweep = auto_time_sweep(wide_prob)
@@ -494,11 +472,7 @@ def dependence_check(
     labels = sorted(set(lab for lab in sweep if lab <= L_top) | {L_top, L_top - 1})
     max_leak = 0.0
     for L in labels:
-        sl = solve_averaging(wide_prob, L)
-        for rep, v in sl.field.items():
-            e = vector_norm_exponent(rep, p)
-            if e != NEG_INF and e > N:
-                max_leak = max(max_leak, abs(value_to_complex(v)))
+        max_leak = max([max_leak, *outside(solve_averaging(wide_prob, L).field)])
     return DependenceReport(
         N=N,
         data_confined=confined,
@@ -562,8 +536,7 @@ def uniqueness_smoke(prob: WaveProblem, labels=None) -> UniquenessReport:
     for L in labels:
         routes = (solve_averaging, solve_spectral, solve_convolution)
         for sl in (route(prob, L) for route in routes):
-            for _, v in sl.field.items():
-                worst = max(worst, abs(value_to_complex(v)))
+            worst = max(worst, *map(abs, sl.field.complex_values()))
     return UniquenessReport(swept=tuple(labels), max_abs=worst, passed=worst <= 1e-12)
 
 
@@ -582,14 +555,13 @@ def time_profile(prob: WaveProblem, x, phi_tol: float = PHI_TOL) -> RadialShellF
         ctx=prob.ctx, core_value=core, shells=tuple(shells), shell_lo=sweep.start
     ).normalize()
     total = profile.integrate(1)
-    if is_exact_value(total):
-        bad = not values_equal(total, Fraction(0))
+    if profile.exact:
+        bad = total != 0
     else:
-        scale = max(1.0, float(profile.l1_norm(1)))
-        bad = abs(value_to_complex(total)) > phi_tol * scale
+        bad = abs(total) > phi_tol * max(1.0, float(profile.l1_norm(1)))
     if bad:
         raise LizorkinError(
             f"time profile at x = {x} fails the zero-mean check: integral = "
-            f"{value_to_complex(total):.3e}"
+            f"{complex(total):.3e}"
         )
     return profile

@@ -21,16 +21,15 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import ConfigError, LizorkinError
-from .fourier import forward, inverse
-from .functions import PHI_TOL, CosetFunction, integrate, is_in_Phi
+from .fourier import forward, inverse, multiply_radial
+from .functions import PHI_TOL, RATIONAL, CosetFunction, integrate, is_in_Phi
 from .lattice import (
     as_fraction_vector,
-    digit_valuations,
     enumerate_cosets,
     vector_norm_exponent,
 )
 from .padic import NEG_INF, PrimeContext, order_float
-from .phases import value_scale, value_to_complex
+from .phases import value_to_complex
 
 
 def _integral_order(alpha) -> int | None:
@@ -90,24 +89,21 @@ def apply_spectral(
     if not is_in_Phi(f, phi_tol):
         raise LizorkinError(
             f"input is not in the zero-mean (Lizorkin) class: integral = "
-            f"{value_to_complex(integrate(f)):.3e} exceeds tol {phi_tol:g}"
+            f"{complex(integrate(f)):.3e} exceeds tol {phi_tol:g}"
         )
-    g = forward(f)
-    values = []
-    for rep, v in g.items():
-        e = vector_norm_exponent(rep, params.ctx.p)
-        if e == NEG_INF:
-            values.append(Fraction(0))  # |0|**alpha = 0 kills the origin coset
-        else:
-            values.append(value_scale(v, params.power_of_p(int(e))))
-    return inverse(CosetFunction(g.grid, values))
+    # |0|**alpha = 0 kills the origin coset
+    return inverse(multiply_radial(
+        forward(f), lambda e: Fraction(0) if e == NEG_INF else params.power_of_p(e)
+    ))
 
 
 def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: int):
     """The hypersingular form at points of B_top, top >= f.support_exp.
 
-    Returns the grid of B_top at f's resolution, and the form as a function
-    of a point's digit coordinates X_j = x_j * p**top in that grid.  The
+    Returns the grid of B_top at f's resolution, the form as a function of
+    a point's index in that grid, whose digit coordinates are X_j = x_j *
+    p**top, and the denominator of its integer values (None when they are
+    complex).  The
     per-table work is done here once: f extended by the background to that
     grid, its spheres (in ``sphere_representatives`` order, which the grid
     order keeps), and the shell and tail weights.  For a sphere point y,
@@ -122,41 +118,43 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
     background = Fraction(background) if isinstance(background, int) else background
     big = enumerate_cosets(params.ctx, top, ell, n)
     q = p ** (top + ell)
-    val = digit_valuations(p, top + ell)
     place = [q ** (n - 1 - j) for j in range(n)]
-    # f on B_top, plus one last cell holding the background for the outer tail
-    ext = [background] * (len(big) + 1)
+    # f on B_top, plus one last cell holding the background for the outer
+    # tail: numerators over one denominator when f and the background are
+    # rational, complex numbers otherwise
+    rational = f.kind == RATIONAL and isinstance(background, Fraction)
+    if rational:
+        den = math.lcm(f.den, background.denominator)
+        cells = [v * (den // f.den) for v in f.cells]
+        ext = [background.numerator * (den // background.denominator)] * (len(big) + 1)
+    else:
+        den, cells = None, f.complex_values()
+        ext = [value_to_complex(background)] * (len(big) + 1)
     step = p ** (top - M)
-    for a, v in zip(f.grid.digits, f.values):
+    for a, v in zip(f.grid.digits, cells):
         ext[sum(map(mul, place, a)) * step] = v
     spheres = {g: [] for g in range(-ell + 1, top + 1)}
-    for y in big.digits:
-        g = top - min(map(val.__getitem__, y))
+    for y, g in zip(big.digits, big.norm_exponents):
         if g > -ell:  # the origin coset adds nothing by local constancy
             spheres[g].append(y)
     spheres = {g: tuple(zip(*ys)) for g, ys in spheres.items()}
 
     # |y|**(-alpha-n) on each shell times the coset volume, and the outer
     # tail past each possible top shell G, where every y sees the background
-    coset_vol = Fraction(p) ** (-n * ell)
+    # (exact for an integral order, floats otherwise, as the prefactor is)
     pref = params.prefactor()
-    shell_w, tail_w = {}, {}
-    for g in spheres:
-        w = params.power_of_p(-g)
-        if isinstance(w, Fraction):
-            shell_w[g] = w * Fraction(p) ** (-g * n) * coset_vol
-        else:
-            shell_w[g] = w * float(p) ** (-g * n) * float(coset_vol)
-    for G in range(M, top + 1):
-        a = params.power_of_p(-(G + 1))
-        if isinstance(a, Fraction):
-            tail_w[G] = (1 - Fraction(p) ** (-n)) * (a / (1 - params.power_of_p(-1)))
-        else:
-            tail_w[G] = (1.0 - float(p) ** (-n)) * (a / (1.0 - params.power_of_p(-1)))
+    exact = isinstance(pref, Fraction)
+    P = Fraction(p) if exact else float(p)
+    coset_vol = Fraction(p) ** (-n * ell) if exact else float(Fraction(p) ** (-n * ell))
+    shell_w = {g: params.power_of_p(-g) * P ** (-g * n) * coset_vol for g in spheres}
+    tail_w = {
+        G: (1 - P ** (-n)) * (params.power_of_p(-(G + 1)) / (1 - params.power_of_p(-1)))
+        for G in range(M, top + 1)
+    }
 
-    def terms(X, shell_w, tail_w):
+    def terms(i, shell_w, tail_w):
         """x's cell, and (weight, cells of x - y) per shell up to x's top shell, then the tail."""
-        G = max(M, top - min(map(val.__getitem__, X)))
+        X, G = big.digits[i], max(M, big.norm_exponents[i])
         out = []
         for g in range(-ell + 1, G + 1):
             idx = None
@@ -167,11 +165,6 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
         out.append((tail_w[G], [len(big)]))
         return sum(map(mul, place, X)), out
 
-    exact = isinstance(pref, Fraction)
-    rational = isinstance(background, Fraction) and all(isinstance(v, Fraction) for v in f.values)
-    if rational:  # integer numerators over one common denominator
-        den = math.lcm(background.denominator, *(v.denominator for v in f.values))
-        nums = [v.numerator * (den // v.denominator) for v in ext]
     if rational and exact:
         # the weights times the prefactor, as integers over one denominator
         shell_w = {g: w * pref for g, w in shell_w.items()}
@@ -180,28 +173,25 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
         shell_n = {g: w.numerator * (wden // w.denominator) for g, w in shell_w.items()}
         tail_n = {G: w.numerator * (wden // w.denominator) for G, w in tail_w.items()}
 
-        def at(X):
-            ix, shells = terms(X, shell_n, tail_n)
-            total = sum(w * (sum(map(nums.__getitem__, idx)) - len(idx) * nums[ix])
-                        for w, idx in shells)
-            return Fraction(total, den * wden)
+        def at(i):
+            ix, shells = terms(i, shell_n, tail_n)
+            return sum(w * (sum(map(ext.__getitem__, idx)) - len(idx) * ext[ix])
+                       for w, idx in shells)
 
-        return big, at
+        return big, at, den * wden
 
-    if rational:  # float weights: each exact difference rounds once, as value_scale does
+    if rational:  # float weights: each exact difference rounds once
         def diffs(ix, idx):
-            return [complex((nums[i] - nums[ix]) / den) for i in idx]
+            return [complex((ext[i] - ext[ix]) / den) for i in idx]
     else:
-        cext = [value_to_complex(v) for v in ext]
-
         def diffs(ix, idx):
-            neg = value_to_complex(value_scale(ext[ix], -1))
-            return [cext[i] + neg for i in idx]
+            neg = ext[ix] * -1.0
+            return [ext[i] + neg for i in idx]
 
     scalar = float if exact else complex
 
-    def at(X):
-        ix, shells = terms(X, shell_w, tail_w)
+    def at(i):
+        ix, shells = terms(i, shell_w, tail_w)
         acc = 0j
         for w, idx in shells:
             w = scalar(w)
@@ -209,7 +199,7 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
                 acc += d * w
         return acc * scalar(pref)
 
-    return big, at
+    return big, at, None
 
 
 def apply_hypersingular(
@@ -228,8 +218,9 @@ def apply_hypersingular(
     vec = as_fraction_vector(x, params.n)
     e_x = vector_norm_exponent(vec, params.ctx.p)
     top = f.support_exp if e_x == NEG_INF else max(f.support_exp, int(e_x))
-    grid, at = _hypersingular(params, f, background, top)
-    return at(grid.digits[grid.position(vec)])
+    grid, at, den = _hypersingular(params, f, background, top)
+    v = at(grid.position(vec))
+    return v if den is None else Fraction(v, den)
 
 
 def apply_hypersingular_field(
@@ -247,5 +238,5 @@ def apply_hypersingular_field(
     M = f.support_exp if support_exp is None else support_exp
     if M < f.support_exp:
         raise ConfigError("output support cannot be smaller than the input's")
-    grid, at = _hypersingular(params, f, background, M)
-    return CosetFunction(grid, [at(X) for X in grid.digits])
+    grid, at, den = _hypersingular(params, f, background, M)
+    return CosetFunction(grid, [at(i) for i in range(len(grid))], den)

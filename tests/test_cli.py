@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -214,9 +215,14 @@ def test_verify_passes_tolerances_and_bracket_through(tmp_path, monkeypatch):
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-@pytest.mark.parametrize("case", ["default", "eigen-p2-n2-K3", "table-p3-n1-K2"])
+@pytest.mark.parametrize(
+    "case",
+    ["default", "eigen-p2-n2-K3", "table-p3-n1-K2", "table-p3-n2-complex", "eigen-p3-float-C"],
+)
 def test_solve_output_matches_golden_files(case, tmp_path, monkeypatch):
-    # the table config names its u0 file relative to the golden directory
+    # the table config names its u0 file relative to the golden directory; a
+    # float C makes eigen-p3-float-C a complex table, zero outside its support
+    # included, so its u0.csv and its first profile carry no num/den
     monkeypatch.chdir(GOLDEN)
     out = tmp_path / case
     assert cli.main(["solve", "--config", f"{case}.json", "--out", str(out)]) == 0
@@ -225,6 +231,17 @@ def test_solve_output_matches_golden_files(case, tmp_path, monkeypatch):
     assert sorted(f.name for f in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_solve_p5_n2_files_hash_as_pinned(tmp_path):
+    # 15,625 cosets: every file padicwave solve writes, against its sha256
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--p", "5", "--n", "2", "--out", str(out)]) == 0
+    want = dict(
+        reversed(line.split()) for line in (GOLDEN / "solve-p5-n2.sha256").read_text().splitlines()
+    )
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == want
 
 
 def _broken_table(path: Path, edit: str) -> Path:
@@ -405,6 +422,10 @@ _NUMBER_TEXT = (
 _EXPONENTS = st.integers(-50, 50) | st.integers(-(10**5), 10**5)
 # orders of 400 digits overflow a float
 _HUGE_ORDER = st.integers(10**399, 10**400 - 1)
+# a coupling or a spatial order up to 10**300 makes time labels that no file
+# name can hold, or more of them than the grid cap allows
+_HUGE_K = st.integers(1, 10**300)
+_HUGE_BETA = st.floats(1, 1e300)
 
 
 def _mostly(plausible):
@@ -417,9 +438,9 @@ _CONFIGS = st.fixed_dictionaries(
     optional={
         "p": _mostly(st.sampled_from([2, 3, 5, 2**61 - 1]) | st.integers(2, 2**61)),
         "n": _mostly(st.sampled_from([1, 2]) | st.integers(1, 10**7)),
-        "K": _mostly(st.integers(1, 3)),
+        "K": _mostly(st.integers(1, 3) | _HUGE_K),
         "alpha": _mostly(_NUMBER_TEXT | _HUGE_ORDER),
-        "beta": _mostly(_NUMBER_TEXT | _HUGE_ORDER),
+        "beta": _mostly(_NUMBER_TEXT | _HUGE_ORDER | _HUGE_BETA),
         "u0_spec": _mostly(
             st.builds("sphere-indicator {}".format, _EXPONENTS)
             | st.builds("eigen {} {}".format, _EXPONENTS, _NUMBER_TEXT)

@@ -249,3 +249,30 @@ def test_radial_shell_function_normalize_trims_and_absorbs():
     assert t.shell_lo == 1
     for gamma in (-5, 0, 1, 2, 9):
         assert t.value_at_exponent(gamma) == r.value_at_exponent(gamma)
+
+
+def test_each_table_has_one_value_kind_fixed_when_built():
+    from padicwave.phases import PhaseSum
+
+    grid = enumerate_cosets(PrimeContext(2), 1, 1, 1)
+    f = CosetFunction(grid, [1, Fraction(1, 2), Fraction(-3, 4), 0])
+    assert (f.kind, f.den, f.cells) == ("rational", 4, (4, 2, -3, 0))
+    assert f.values == (1, Fraction(1, 2), Fraction(-3, 4), 0)
+    assert all(type(v) is Fraction for v in f.values)
+    # numerators over a common multiple are brought to the least denominator
+    g = CosetFunction(grid, [8, 4, -6, 0], 8)
+    assert (g.den, g.cells) == (4, (4, 2, -3, 0)) and g.values == f.values
+    # one float makes the whole table complex, exact cells included
+    h = CosetFunction(grid, [1, Fraction(1, 2), 0.25, 0])
+    assert h.kind == "complex" and h.values == (1 + 0j, 0.5 + 0j, 0.25 + 0j, 0j)
+    assert all(type(v) is complex for v in h.values)
+    s = PhaseSum(2, {Fraction(1, 4): Fraction(1)})
+    assert CosetFunction(grid, [s, 1, 0, 0]).kind == "phase"
+    assert CosetFunction(grid, [s, 1.0, 0, 0]).kind == "complex"
+    r = RadialShellFunction(PrimeContext(2), 1, (Fraction(1, 2), 0.5), 0)
+    assert not r.exact and r.core_value == 1 + 0j and type(r.shells[0]) is complex
+    for bad, message in ((True, "boolean"), ("1", "unsupported")):
+        with pytest.raises(ConfigError, match=message):
+            CosetFunction(grid, [bad, 0, 0, 0])
+        with pytest.raises(ConfigError, match=message):
+            RadialShellFunction(PrimeContext(2), bad, (), 0)

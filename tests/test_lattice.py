@@ -152,6 +152,18 @@ def test_enumerate_cosets_rejects_dimension_below_one():
         enumerate_cosets(PrimeContext(2), 1, 1, 0)
 
 
+def test_norm_exponents_are_the_norms_of_the_representatives():
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            for M in range(-2, 3):
+                for ell in range(-M, 3):
+                    if p ** (n * (M + ell)) > 4000:
+                        continue
+                    grid = enumerate_cosets(PrimeContext(p), M, ell, n)
+                    want = tuple(vector_norm_exponent(rep, p) for rep in grid.representatives)
+                    assert grid.norm_exponents == want, (p, n, M, ell)
+
+
 def test_sphere_representatives_have_the_stated_norm():
     ctx = PrimeContext(3)
     reps = sphere_representatives(ctx, 1, 1, 1)
