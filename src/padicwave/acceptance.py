@@ -12,8 +12,8 @@ brute force everywhere sampled.
 deliberately wrong bracket variant into the kernel closed form and must
 make the kernel check fail.
 
-The transform and operator layers are imported by the checks that use
-them, so a process that runs one other check never compiles them.
+The transform, cyclotomic and operator layers are imported by the checks
+that use them, so a process that runs one other check never compiles them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .lattice import (
     vector_norm_exponent,
 )
 from .padic import NEG_INF, PrimeContext, rational_fractional_part
-from .phases import PhaseSum, rational_value, value_scale, value_to_complex, values_equal
 from .solver import (
     T_ZERO,
     WaveProblem,
@@ -87,6 +86,8 @@ def _ball_sum_1d(ctx: PrimeContext, gamma: int, xi: Fraction):
     Fraction (the closed forms are rational, so a sum that fails to reduce
     is a failure).
     """
+    from .phases import rational_value
+
     p = ctx.p
     e = vector_norm_exponent((xi,), p)
     ell = max(-gamma, 0 if e == NEG_INF else int(e))
@@ -120,6 +121,8 @@ def _ball_sum(ctx: PrimeContext, n: int, gamma: int, xi_vec) -> Fraction | None:
 
 def _ball_sum_direct(ctx: PrimeContext, n: int, gamma: int, xi_vec):
     """Fully naive n-dim sum (no factorization); small cases only."""
+    from .phases import PhaseSum
+
     e = vector_norm_exponent(tuple(xi_vec), ctx.p)
     ell = max(-gamma, 0 if e == NEG_INF else int(e))
     grid = enumerate_cosets(ctx, gamma, ell, n)
@@ -290,8 +293,8 @@ def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
                     hyper = apply_hypersingular_field(params, f)
                     for got in (spect, hyper):
                         for v, w in zip(got.values, f.values):
-                            ref_c = value_to_complex(value_scale(w, lam))
-                            err = abs(value_to_complex(v) - ref_c)
+                            ref_c = complex(w * lam)
+                            err = abs(complex(v) - ref_c)
                             worst = max(worst, err / max(abs(ref_c), 1e-30))
                     combos += 1
     passed = worst <= tol
@@ -303,7 +306,8 @@ def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
 
 
 def check_operator_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult:
-    """Spectral and hypersingular forms agree on random zero-mean tables."""
+    """Averaging, Fourier and hypersingular forms agree on zero-mean tables; exact if rational."""
+    from .fourier import forward, inverse, multiply_radial
     from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
 
     rng = random.Random(seed + 1)
@@ -318,8 +322,11 @@ def check_operator_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Check
         alpha = alphas[i % len(alphas)]
         params = OperatorParams(ctx=ctx, n=n, alpha=alpha)
         spect = apply_spectral(params, f)
-        hyper = apply_hypersingular_field(params, f)
-        worst = max(worst, max_abs_diff(spect, hyper))
+        for g in (inverse(multiply_radial(forward(f), params.symbol)),
+                  apply_hypersingular_field(params, f)):
+            if spect.is_exact() and not equal_exact(spect, g):
+                return CheckResult("operator-duality", False, f"input {i}: the routes differ")
+            worst = max(worst, max_abs_diff(spect, g))
         count += 1
     passed = worst <= tol
     return CheckResult(
@@ -452,9 +459,7 @@ def check_time_pde(tol: float = 1e-10) -> CheckResult:
         ctx = PrimeContext(p)
         u0 = _eigen_table(ctx, 1, N, Fraction(1), 1)  # transform = sphere-N indicator
         prob = WaveProblem(ctx=ctx, n=1, alpha=alpha, K=K, u0=u0)
-        x = next(
-            rep for rep, v in u0.items() if not values_equal(v, Fraction(0))
-        )
+        x = next(rep for rep, v in u0.items() if v != 0)
         profile = time_profile(prob, x)
         lo, hi = profile.shell_lo, profile.shell_hi
         table = embed_radial(profile, hi, 1 - lo, 1)

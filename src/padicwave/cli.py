@@ -179,8 +179,8 @@ def _load_config(path: str | None) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past the int-to-str limit
+        raise ConfigError(f"config {path} cannot be read as JSON: {exc}") from exc
     return RunConfig(doc)
 
 

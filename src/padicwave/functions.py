@@ -30,23 +30,26 @@ from .lattice import (
     vector_norm_exponent,
 )
 from .padic import NEG_INF, PrimeContext
-from .phases import PhaseSum, value_to_complex
 
 RADIAL_FLOAT_TOL = 1e-12
 PHI_TOL = 1e-10
 
 RATIONAL, COMPLEX, PHASE = "rational", "complex", "phase"
-_KINDS = {int: RATIONAL, Fraction: RATIONAL, PhaseSum: PHASE, float: COMPLEX, complex: COMPLEX}
+_KINDS = {int: RATIONAL, Fraction: RATIONAL, float: COMPLEX, complex: COMPLEX}
 
 
 def _value_kind(values) -> str:
     """A table's kind: complex if any value is inexact, else phase if any is a PhaseSum."""
     kinds = {_KINDS.get(t) for t in set(map(type, values))}
-    if None in kinds:
-        v = next(v for v in values if type(v) not in _KINDS)
+    if None in kinds:  # the cyclotomic layer is loaded only for a transform's values
+        from .phases import PhaseSum
+
+        v = next((v for v in values if type(v) not in _KINDS and type(v) is not PhaseSum), None)
         if isinstance(v, bool):
             raise ConfigError("boolean table values are ambiguous; use 0 or 1")
-        raise ConfigError(f"unsupported table value {v!r}")
+        if v is not None:
+            raise ConfigError(f"unsupported table value {v!r}")
+        kinds.add(PHASE)
     return COMPLEX if COMPLEX in kinds else PHASE if PHASE in kinds else RATIONAL
 
 
@@ -78,7 +81,7 @@ class CosetFunction:
         elif self.kind == RATIONAL:
             den, values = _over_common_den(values)
         elif self.kind == COMPLEX:
-            values = [v if type(v) is complex else value_to_complex(v) for v in values]
+            values = [v if type(v) is complex else complex(v) for v in values]
         else:
             values = [Fraction(v) if type(v) is int else v for v in values]
         self.grid, self.den, self.cells, self._values = grid, den, tuple(values), None
@@ -125,7 +128,7 @@ class CosetFunction:
         """The values as complex numbers in grid order (num / den rounds as float(Fraction))."""
         if self.kind == RATIONAL:
             return [complex(v / self.den) for v in self.cells]
-        return self.cells if self.kind == COMPLEX else list(map(value_to_complex, self.cells))
+        return self.cells if self.kind == COMPLEX else list(map(complex, self.cells))
 
     @property
     def ctx(self) -> PrimeContext:
@@ -192,7 +195,7 @@ def l1_norm(f: CosetFunction):
 def is_in_Psi(f: CosetFunction, tol: float = 0.0) -> bool:
     """Vanishing at the origin: the value on the coset containing 0."""
     v = _cell_value(f, 0)
-    return abs(v if isinstance(v, Fraction) else value_to_complex(v)) <= tol
+    return abs(v if isinstance(v, Fraction) else complex(v)) <= tol
 
 
 def is_in_Phi(f: CosetFunction, tol: float = PHI_TOL) -> bool:
@@ -334,26 +337,37 @@ class CosetAverages:
         cf, cc = self._count(r), self._count(r - 1)
         return any(abs(s / cf - coarse[g] / cc) > tol for g, s in zip(parent, fine))
 
-    def mix(self, lo: int, hi: int, c) -> CosetFunction:
-        """The table A_lo f + c*(A_hi f - A_lo f), for lo <= hi and rational c."""
+    def radial(self, weight) -> CosetFunction:
+        """The table with each frequency sphere |xi| = p**N scaled by weight(N).
+
+        weight(NEG_INF) scales the origin coset, as ``fourier.multiply_radial``
+        does.  A transform times 1 on B_N is the average over x + B_{-N}, so a
+        run of levels lo < N <= hi of one weight w adds w * (A_hi f - A_lo f),
+        A_{-M-1} f = 0, on the blocks of level hi.  Rational tables and weights
+        give integer numerators over one denominator, anything else complex.
+        """
         f = self.f
         p, n, M, ell = f.ctx.p, f.n, f.support_exp, f.resolution_exp
-        parent = _block_ids(p, n, M + hi, hi - lo)
-        fine, coarse = self.sums[hi], self.sums[lo]
-        if f.kind == RATIONAL:
-            q = p ** (n * (hi - lo))
-            cn, cd = c.numerator, c.denominator
-            den = cd * f.den * self._count(lo)
-            by_block = [cd * coarse[g] + cn * (s * q - coarse[g]) for g, s in zip(parent, fine)]
-        else:
-            den = None
-            cf, cl, ch = float(c), self._count(lo), self._count(hi)
-            by_block = [
-                coarse[g] / cl + cf * (s / ch - coarse[g] / cl)
-                for g, s in zip(parent, fine)
-            ]
-        cells = _block_ids(p, n, M + ell, ell - hi)
-        return CosetFunction(f.grid, [by_block[g] for g in cells], den)
+        w = [weight(NEG_INF), *map(weight, range(-M + 1, ell + 1))]  # level -M first
+        exact = f.kind == RATIONAL and all(isinstance(x, (int, Fraction)) for x in w)
+        wden = math.lcm(*(x.denominator for x in w)) if exact else None
+        lo, base, acc = -M - 1, ell, [0 if exact else 0j]  # the sum so far, on level lo
+        for hi, x, nxt in zip(range(-M, ell + 1), w, [*w[1:], 0]):
+            if x == nxt:  # inside a run, or past the last nonzero weight
+                continue
+            parent = _block_ids(p, n, M + hi, hi - lo) if lo >= -M else itertools.repeat(0)
+            coarse, fine = self.sums.get(lo, [0]), self.sums[hi]
+            if exact:  # A_r f is sums[r] * p**(n*(r - base)) over den * wden * count(base)
+                base = min(base, hi)  # the coarsest level read
+                x, qh, ql = (x * wden).numerator, *(p ** (n * max(r - base, 0)) for r in (hi, lo))
+                acc = [acc[g] + x * (s * qh - coarse[g] * ql) for g, s in zip(parent, fine)]
+            else:  # A_r f is sums[r] / (count(r) * den), a real weight taken as a float
+                x = x if isinstance(x, complex) else float(x)
+                ch, cl = (self._count(r) * (f.den or 1) for r in (hi, lo))
+                acc = [acc[g] + x * (s / ch - coarse[g] / cl) for g, s in zip(parent, fine)]
+            lo = hi
+        acc = [acc[g] for g in _block_ids(p, n, M + ell, ell - max(lo, -M))]
+        return CosetFunction(f.grid, acc, f.den * wden * self._count(base) if exact else None)
 
 
 # -- radial functions --------------------------------------------------------
@@ -372,7 +386,7 @@ class RadialShellFunction:
 
     def __init__(self, ctx: PrimeContext, core_value, shells, shell_lo: int):
         self.exact = _value_kind((core_value, *shells)) == RATIONAL
-        convert = Fraction if self.exact else value_to_complex
+        convert = Fraction if self.exact else complex
         self.ctx, self.core_value, self.shell_lo = ctx, convert(core_value), shell_lo
         self.shells = tuple(map(convert, shells))
 
@@ -514,9 +528,9 @@ def sphere_indicator(
 
 
 def _value_to_json(v):
-    if isinstance(v, PhaseSum):  # a transform's value, written exactly when it is rational
+    if not isinstance(v, (Fraction, complex)):  # a transform's PhaseSum, exact when rational
         r = v.as_rational()
-        v = v.to_complex() if r is None else r
+        v = complex(v) if r is None else r
     if isinstance(v, Fraction):
         return {"re": str(v), "im": "0"}
     return {"re": v.real, "im": v.imag}

@@ -69,6 +69,8 @@ class PhaseSum:
             complex(0.0),
         )
 
+    __complex__ = to_complex
+
     def as_rational(self) -> Fraction | None:
         """The exact rational value of the sum, or None if it is irrational."""
         if not self.terms:

@@ -16,9 +16,9 @@ and construction refuses them).
 The multiplier is radial in xi, and multiplying a transform by the
 indicator of the frequency ball B_r is the same as averaging the table over
 the cosets x + B_{-r} (the inverse transform of 1_{B_r} is p**(n*r) times
-1_{B_{-r}}).  So a slice is a combination of two coset averages of the data,
-and ``solve_averaging``, the production route, builds it from one pyramid of
-block sums in O(N*(M + ell)) exact additions for N grid cosets.  Two
+1_{B_{-r}}).  So a slice is a sum of coset averages of the data, and
+``solve_averaging``, the production route, builds it (``CosetAverages.radial``)
+from one pyramid of block sums in O(N*(M + ell)) additions for N cosets.  Two
 independent routes stay as oracles for the verification suite:
 ``solve_spectral`` damps the exact Fourier transform sphere by sphere and
 inverts it, and ``solve_convolution`` convolves the data with the explicit
@@ -316,26 +316,11 @@ class SolutionSlice:
 
 
 def solve_averaging(prob: WaveProblem, L) -> SolutionSlice:
-    """Slice at |t| = p**L as A_{N*} u0 + c*(A_{N*+1} - A_{N*}) u0.
-
-    With N* = floor(-L/K), b(L, .) is 1 on the frequency ball B_{N*}, c on
-    the sphere N* + 1 and 0 beyond, where c = -1/(p-1) when L = 1 - K*(N*+1)
-    and c = 0 otherwise.  Both levels are clamped to the grid's [-M, ell]:
-    the transform lives on B_ell, and its origin coset B_{-M} always keeps
-    the multiplier 1.
-    """
+    """Slice at |t| = p**L: the data's coset averages weighted by b(L, .) sphere by sphere."""
     if L == T_ZERO:
         return SolutionSlice(L=L, field=prob.u0)
-    L = int(L)
-    M, ell = prob.u0.support_exp, prob.u0.resolution_exp
-    top = (-L) // prob.K
-    if L == 1 - prob.K * (top + 1):
-        c, hi = Fraction(-1, prob.ctx.p - 1), top + 1
-    else:
-        c, hi = Fraction(0), top
-    lo = min(max(top, -M), ell)
-    hi = min(max(hi, -M), ell)
-    return SolutionSlice(L=L, field=prob.averages.mix(lo, hi, c))
+    b = prob.multiplier()
+    return SolutionSlice(L=L, field=prob.averages.radial(lambda N: b.value(L, N)))
 
 
 def spectral_data(prob: WaveProblem) -> CosetFunction:

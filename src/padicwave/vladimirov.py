@@ -2,9 +2,9 @@
 
 Two independent routes compute the same thing:
 
-* spectral: conjugate the multiplier |xi|_p**alpha by the Fourier transform
-  (requires the input to have zero mean, so the multiplier is harmless at
-  the origin);
+* spectral: the multiplier |xi|_p**alpha on the coset averages of the input
+  (``CosetAverages.radial``, the transform's multiplier without the transform;
+  requires zero mean, so the multiplier is harmless at the origin);
 * hypersingular: the normalized difference integral
   prefactor * integral of |y|**(-alpha-n) * (f(x-y) - f(x)) dy with
   prefactor (1 - p**alpha) / (1 - p**(-alpha-n)), evaluated shell by shell
@@ -21,15 +21,13 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import ConfigError, LizorkinError
-from .fourier import forward, inverse, multiply_radial
-from .functions import PHI_TOL, RATIONAL, CosetFunction, integrate, is_in_Phi
+from .functions import PHI_TOL, RATIONAL, CosetAverages, CosetFunction, integrate, is_in_Phi
 from .lattice import (
     as_fraction_vector,
     enumerate_cosets,
     vector_norm_exponent,
 )
 from .padic import NEG_INF, PrimeContext, order_float
-from .phases import value_to_complex
 
 
 def _integral_order(alpha) -> int | None:
@@ -65,6 +63,10 @@ class OperatorParams:
             return Fraction(self.ctx.p) ** (k * a)
         return float(self.ctx.p) ** (k * float(self.alpha))
 
+    def symbol(self, N):
+        """|xi|**alpha on the sphere |xi| = p**N, and 0 at the origin (N = -inf)."""
+        return Fraction(0) if N == NEG_INF else self.power_of_p(N)
+
     def prefactor(self):
         """(1 - p**alpha) / (1 - p**(-alpha-n)), exact when alpha is integral."""
         p, n = self.ctx.p, self.n
@@ -78,7 +80,7 @@ class OperatorParams:
 def apply_spectral(
     params: OperatorParams, f: CosetFunction, phi_tol: float = PHI_TOL
 ) -> CosetFunction:
-    """Multiply the transform by |xi|**alpha and come back.
+    """Multiply the transform by |xi|**alpha and come back, on coset averages.
 
     The input must have zero mean (Lizorkin condition); otherwise the
     operator has no consistent spectral meaning on tables and this raises
@@ -91,10 +93,7 @@ def apply_spectral(
             f"input is not in the zero-mean (Lizorkin) class: integral = "
             f"{complex(integrate(f)):.3e} exceeds tol {phi_tol:g}"
         )
-    # |0|**alpha = 0 kills the origin coset
-    return inverse(multiply_radial(
-        forward(f), lambda e: Fraction(0) if e == NEG_INF else params.power_of_p(e)
-    ))
+    return CosetAverages(f).radial(params.symbol)
 
 
 def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: int):
@@ -129,7 +128,7 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
         ext = [background.numerator * (den // background.denominator)] * (len(big) + 1)
     else:
         den, cells = None, f.complex_values()
-        ext = [value_to_complex(background)] * (len(big) + 1)
+        ext = [complex(background)] * (len(big) + 1)
     step = p ** (top - M)
     for a, v in zip(f.grid.digits, cells):
         ext[sum(map(mul, place, a)) * step] = v

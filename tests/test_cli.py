@@ -302,6 +302,7 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"u0_spec": "eigen 2000 1", "K": 3}, []),
         ({"n": 10**7}, []),
         ({"p": 3317044064679887385961981}, []),
+        ('{"K": ' + "9" * 5000 + "}", []),
     ],
     ids=[
         "p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry",
@@ -310,7 +311,7 @@ def _broken_table(path: Path, edit: str) -> Path:
         "p-overflow", "n-overflow", "K-overflow", "seed-overflow", "sweep-overflow",
         "tolerance-overflow", "table-directory", "table-not-json",
         "alpha-overflow", "beta-overflow", "sphere-indicator-huge", "sphere-indicator-tiny",
-        "eigen-huge", "n-huge", "p-beyond-exact-primality",
+        "eigen-huge", "n-huge", "p-beyond-exact-primality", "K-literal-past-int-limit",
     ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
@@ -363,7 +364,9 @@ def test_cli_import_leaves_the_fourier_layer_and_the_suite_unloaded():
     )
     loaded = proc.stdout
     assert "padicwave.solver" in loaded
-    for module in ("padicwave.acceptance", "padicwave.vladimirov", "padicwave.fourier"):
+    for module in (
+        "padicwave.acceptance", "padicwave.vladimirov", "padicwave.fourier", "padicwave.phases"
+    ):
         assert module not in loaded
 
 
@@ -377,8 +380,21 @@ def test_checks_without_transforms_leave_the_operator_layers_unloaded():
         "assert acceptance.check_kernel_identity().passed\n"
         "print(sorted(m for m in sys.modules if m.startswith('padicwave.')))"
     )
-    for module in ("padicwave.vladimirov", "padicwave.fourier"):
+    for module in ("padicwave.vladimirov", "padicwave.fourier", "padicwave.phases"):
         assert module not in proc.stdout
+
+
+def test_operator_checks_leave_the_fourier_layer_unloaded():
+    # the operator runs on coset averages; only the duality checks transform
+    proc = _run_python(
+        "import sys\n"
+        "from padicwave import acceptance\n"
+        "assert acceptance.check_eigenrelation().passed\n"
+        "assert acceptance.check_time_pde().passed\n"
+        "print(sorted(m for m in sys.modules if m.startswith('padicwave.')))"
+    )
+    assert "padicwave.vladimirov" in proc.stdout
+    assert "padicwave.fourier" not in proc.stdout
 
 
 @pytest.mark.parametrize("module", ["padicwave.cli", "padicwave.acceptance"])

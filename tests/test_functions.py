@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padicwave.errors import ConfigError, LizorkinError, NonRadialError
 from padicwave.functions import (
+    CosetAverages,
     CosetFunction,
     RadialShellFunction,
     add,
@@ -22,6 +23,7 @@ from padicwave.functions import (
     is_in_Psi,
     l1_norm,
     load_coset_function,
+    max_abs_diff,
     radial_profile,
     regrid,
     save_coset_function,
@@ -32,7 +34,7 @@ from padicwave.functions import (
     translate,
 )
 from padicwave.lattice import enumerate_cosets
-from padicwave.padic import PrimeContext
+from padicwave.padic import NEG_INF, PrimeContext
 from padicwave.solver import WaveProblem, eigenfunction
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -276,3 +278,47 @@ def test_each_table_has_one_value_kind_fixed_when_built():
             CosetFunction(grid, [bad, 0, 0, 0])
         with pytest.raises(ConfigError, match=message):
             RadialShellFunction(PrimeContext(2), bad, (), 0)
+
+
+def _grid_shapes():
+    """(p, n, M, ell) with M, ell in [-2, 2] and at most 125 cosets."""
+    for p in (2, 3, 5):
+        for n in (1, 2):
+            for M in range(-2, 3):
+                for ell in range(max(-2, -M), 3):
+                    if p ** (n * (M + ell)) <= 125:
+                        yield p, n, M, ell
+
+
+def _run_weights(rng, M: int, ell: int, pool) -> dict:
+    """A weight per frequency level (NEG_INF at the origin), in runs, zeros included."""
+    w, x = {}, rng.choice(pool)
+    for e in [NEG_INF, *range(-M + 1, ell + 1)]:
+        if rng.random() < 0.5:
+            x = rng.choice(pool)
+        w[e] = x
+    return w
+
+
+WEIGHT_POOL = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(5, 3), Fraction(7))
+
+
+@pytest.mark.parametrize("p, n, M, ell", list(_grid_shapes()))
+def test_radial_weights_equal_the_fourier_route(p, n, M, ell):
+    from padicwave.fourier import forward, inverse, multiply_radial
+
+    rng = random.Random(f"radial {p} {n} {M} {ell}")
+    f = _rng_table(rng.randrange(10**6), PrimeContext(p), n, M, ell)
+    g = CosetFunction(f.grid, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in f.cells])
+    hats = {h: forward(h) for h in (f, g)}
+    for _ in range(3):
+        w = _run_weights(rng, M, ell, WEIGHT_POOL)
+        got = CosetAverages(f).radial(w.__getitem__)
+        assert got.kind == "rational"
+        assert got.values == inverse(multiply_radial(hats[f], w.__getitem__)).values
+        # float weights, on a rational and on a complex table
+        wf = {e: float(x) * 1.25 for e, x in w.items()}
+        for h, h_hat in hats.items():
+            got = CosetAverages(h).radial(wf.__getitem__)
+            assert got.kind == "complex"
+            assert max_abs_diff(got, inverse(multiply_radial(h_hat, wf.__getitem__))) <= 1e-12

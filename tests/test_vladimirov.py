@@ -169,3 +169,19 @@ def test_field_application_refuses_to_shrink_support():
     f = ball_indicator(ctx, 1, 0, 2, 2)
     with pytest.raises(ConfigError):
         apply_hypersingular_field(params, f, support_exp=1)
+
+
+@pytest.mark.parametrize("n, M, ell", [(1, 3, 3), (2, 2, 1)])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_averaging_equals_hypersingular_exactly_at_729_cosets(n, M, ell, alpha):
+    ctx = PrimeContext(3)
+    rng = random.Random(f"729 {n} {alpha}")
+    grid = enumerate_cosets(ctx, M, ell, n)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(len(grid))]
+    mean = sum(values) / len(values)
+    f = CosetFunction(grid, [v - mean for v in values])
+    params = OperatorParams(ctx, n, alpha)
+    by_spec = apply_spectral(params, f)
+    assert len(grid) == 729 and by_spec.kind == "rational"
+    assert by_spec.values == apply_hypersingular_field(params, f).values
+
