@@ -141,7 +141,7 @@ def _ball_sum_direct(ctx: PrimeContext, n: int, gamma: int, xi_vec):
 def _random_table(rng: random.Random, ctx, n, M, ell, exact: bool) -> CosetFunction:
     grid = enumerate_cosets(ctx, M, ell, n)
     values = []
-    for _ in grid.representatives:
+    for _ in range(len(grid)):
         if exact:
             values.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         else:

@@ -114,18 +114,14 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _exact_columns(num: int, den: int) -> list:
+def _exact_columns(num: int, den: int) -> tuple:
     """(re, im, num, den) for num/den; int true division rounds as float(Fraction) does."""
     g = math.gcd(num, den)
-    return [_fmt_float(num / den), "0", str(num // g), str(den // g)]
+    return (_fmt_float(num / den), "0", str(num // g), str(den // g))
 
 
-def _complex_columns(c: complex) -> list:
-    return [_fmt_float(c.real), _fmt_float(c.imag), "", ""]
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _complex_columns(c: complex) -> tuple:
+    return (_fmt_float(c.real), _fmt_float(c.imag), "", "")
 
 
 class RunConfig:
@@ -274,8 +270,11 @@ def _build_problem(cfg: RunConfig) -> WaveProblem:
     return WaveProblem(ctx=ctx, n=cfg.n, alpha=cfg.alpha, K=cfg.K, u0=u0)
 
 
-def _write_slice_csv(path: Path, coords: list, field: CosetFunction) -> None:
-    """One row per coset: its rendered coordinates (from coords, in grid order) and value."""
+def _write_slice_csv(path: Path, field: CosetFunction) -> None:
+    """One row per coset, in grid order: its coordinates and its value.
+
+    Each of the p**(M + ell) distinct coordinate strings is rendered once.
+    """
     if field.kind == RATIONAL:
         columns = (_exact_columns(num, field.den) for num in field.cells)
     else:
@@ -283,7 +282,7 @@ def _write_slice_csv(path: Path, coords: list, field: CosetFunction) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([f"x{i}" for i in range(field.n)] + ["re", "im", "num", "den"])
-        for xs, cols in zip(coords, columns):
+        for xs, cols in zip(field.grid.coordinates(str), columns):
             w.writerow(xs + cols)
 
 
@@ -294,9 +293,9 @@ def _write_profile_csv(path: Path, profile) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["kind", "t_exp", "re", "im", "num", "den"])
-        w.writerow(["core", ""] + columns(profile.core_value))
+        w.writerow(("core", "") + columns(profile.core_value))
         for offset, v in enumerate(profile.shells):
-            w.writerow(["shell", str(profile.shell_lo + offset)] + columns(v))
+            w.writerow(("shell", str(profile.shell_lo + offset)) + columns(v))
 
 
 def _digits(L: int) -> int:
@@ -337,14 +336,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     sweep = _time_labels(prob, cfg)
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    # every slice lives on u0's grid, so its coordinate columns are rendered once
-    coords = [[_frac_str(c) for c in rep] for rep in prob.u0.grid.representatives]
-    _write_slice_csv(out / "u0.csv", coords, prob.u0)
+    _write_slice_csv(out / "u0.csv", prob.u0)
     l1_ratios = {}
     bound = None
     for L in sweep:
         sl = solve_averaging(prob, L)
-        _write_slice_csv(out / f"slice_L{L}.csv", coords, sl.field)
+        _write_slice_csv(out / f"slice_L{L}.csv", sl.field)
         rep = l1_bound_check(prob, L, sl)
         l1_ratios[str(L)] = rep.ratio
         bound = rep.bound
@@ -470,24 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_problem=True):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--out", help="output directory")
-        if with_problem:
-            sp.add_argument("--p", type=int, help="prime")
-            sp.add_argument("--n", type=int, help="dimension")
-            sp.add_argument("--alpha", help="temporal operator order (int, a/b, or float)")
-            sp.add_argument("--K", type=int, help="spatial order as a multiple of alpha")
-            sp.add_argument("--sweep", help="'auto' or comma-separated time exponents")
-        sp.add_argument("--tol-duality", dest="tol_duality", type=float,
-                        help="override the 1e-9 duality bar")
-        sp.add_argument("--tol-eigen", dest="tol_eigen", type=float,
-                        help="override the 1e-10 eigen/round-trip bar")
-        sp.add_argument("--tol-dependence", dest="tol_dependence", type=float,
-                        help="override the 1e-12 support-leak bar")
-
     sp = sub.add_parser("solve", help="evolve initial data, write CSV slices")
-    add_common(sp)
+    sp.add_argument("--config", help="JSON config file")
+    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--p", type=int, help="prime")
+    sp.add_argument("--n", type=int, help="dimension")
+    sp.add_argument("--alpha", help="temporal operator order (int, a/b, or float)")
+    sp.add_argument("--K", type=int, help="spatial order as a multiple of alpha")
+    sp.add_argument("--sweep", help="'auto' or comma-separated time exponents")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("kernel-table", help="tabulate the kernel, closed form vs oracle")
@@ -514,7 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eigen_check)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    add_common(sp, with_problem=False)
+    sp.add_argument("--config", help="JSON config file")
+    sp.add_argument("--tol-duality", dest="tol_duality", type=float,
+                    help="override the 1e-9 duality bar")
+    sp.add_argument("--tol-eigen", dest="tol_eigen", type=float,
+                    help="override the 1e-10 eigen/round-trip bar")
+    sp.add_argument("--tol-dependence", dest="tol_dependence", type=float,
+                    help="override the 1e-12 support-leak bar")
     sp.add_argument("--inject-bracket", choices=("ceil", "floor"), default="ceil",
                     help="mutation-testing hook: 'floor' must make the suite fail")
     sp.set_defaults(func=cmd_verify)

@@ -403,11 +403,14 @@ class RadialShellFunction:
         return self.shells[int(gamma) - self.shell_lo]
 
     def scaled(self, c) -> "RadialShellFunction":
+        values = (self.core_value, *self.shells)
         if self.exact and isinstance(c, (int, Fraction)):
-            values = [v * c for v in (self.core_value, *self.shells)]
+            values = [v * c for v in values]
+        elif self.exact and isinstance(c, float):  # real values stay real: imaginary part +0.0
+            values = [complex(float(v) * c) for v in values]
         else:
             c = float(c) if isinstance(c, (int, Fraction)) else complex(c)
-            values = [complex(v) * c for v in (self.core_value, *self.shells)]
+            values = [complex(v) * c for v in values]
         return RadialShellFunction(self.ctx, values[0], values[1:], self.shell_lo)
 
     def normalize(self) -> "RadialShellFunction":

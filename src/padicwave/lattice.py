@@ -88,30 +88,22 @@ class SphereSpec:
 
 
 class CosetGrid:
-    """Representatives of B_M^n modulo B_{-ell}^n, in enumeration order.
+    """The cosets of B_M^n modulo B_{-ell}^n, in grid order.
 
-    Treat as immutable.  Two grids are equal, and hash alike, when their
-    (ctx, n, support_exp, resolution_exp) are: those fix the representatives.
+    A grid holds only its shape; its digit coordinates, norm exponents and
+    representatives are built on first use and kept.  Treat as immutable.
+    Two grids are equal, and hash alike, when their (ctx, n, support_exp,
+    resolution_exp) are: those fix the cosets and their order.
     """
 
-    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "representatives",
-                 "_digits", "_norms")
+    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "_digits", "_norms", "_reps")
 
-    def __init__(
-        self,
-        ctx: PrimeContext,
-        n: int,
-        support_exp: int,
-        resolution_exp: int,
-        representatives: tuple[tuple[Fraction, ...], ...],
-    ):
+    def __init__(self, ctx: PrimeContext, n: int, support_exp: int, resolution_exp: int):
         self.ctx = ctx
         self.n = n
         self.support_exp = support_exp
         self.resolution_exp = resolution_exp
-        self.representatives = representatives
-        self._digits = None
-        self._norms = None
+        self._digits = self._norms = self._reps = None
 
     def _key(self) -> tuple:
         return (self.ctx, self.n, self.support_exp, self.resolution_exp)
@@ -129,18 +121,35 @@ class CosetGrid:
         return Fraction(self.ctx.p) ** (-self.n * self.resolution_exp)
 
     def __len__(self) -> int:
-        return len(self.representatives)
+        return self.ctx.p ** (self.n * (self.support_exp + self.resolution_exp))
+
+    def coordinates(self, render=None):
+        """Each coset's n coordinates, in grid order, as an iterator of tuples.
+
+        A coordinate is its digit coordinate a = x * p**M, an integer in
+        [0, p**W) with W = M + ell, or render(x) when render is given.  Grid
+        order is the n-fold product of the one-dimensional ``digit_reversal``
+        order, so render runs once for each of the p**W values of x.
+        """
+        one_d = digit_reversal(self.ctx.p, self.support_exp + self.resolution_exp)
+        if render is not None:
+            scale = Fraction(self.ctx.p) ** -self.support_exp
+            one_d = [render(a * scale) for a in one_d]
+        return itertools.product(one_d, repeat=self.n)
 
     @property
     def digits(self) -> tuple[tuple[int, ...], ...]:
-        """Each coset's integer digit coordinates a_j = x_j * p**M, in grid order.
-
-        Built on first use and kept: a_j lies in [0, p**W) with W = M + ell.
-        """
+        """Each coset's integer digit coordinates a_j = x_j * p**M, in grid order."""
         if self._digits is None:
-            one_d = digit_reversal(self.ctx.p, self.support_exp + self.resolution_exp)
-            self._digits = tuple(itertools.product(one_d, repeat=self.n))
+            self._digits = tuple(self.coordinates())
         return self._digits
+
+    @property
+    def representatives(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each coset's representative, the n-vector of x_j = a_j * p**-M, in grid order."""
+        if self._reps is None:
+            self._reps = tuple(self.coordinates(Fraction))
+        return self._reps
 
     @property
     def norm_exponents(self) -> tuple:
@@ -159,7 +168,7 @@ class CosetGrid:
         return self._norms
 
     def position(self, x) -> int | None:
-        """Index in ``representatives`` of the coset holding the n-vector x.
+        """Index in grid order of the coset holding the n-vector x.
 
         None when x lies outside B_M.  Coordinate j has the digit coordinate
         a_j = x_j * p**M mod p**W with W = M + ell; read lowest first, the W
@@ -248,7 +257,10 @@ def enumerate_cosets(
     if far or count > cap:
         shown = f"{ctx.p}**{power}" + ("" if far else f" = {count}")
         raise GridCapError(f"coset grid would hold {shown} points, above the cap of {cap}")
-    return _build_grid(ctx, support_exp, resolution_exp, n)
+    return _grid(ctx, n, support_exp, resolution_exp)
+
+
+_grid = lru_cache(maxsize=128)(CosetGrid)
 
 
 @lru_cache(maxsize=64)
@@ -273,16 +285,6 @@ def digit_valuations(p: int, width: int) -> tuple[int, ...]:
     for k in range(1, width + 1):
         val[:: p**k] = [k] * p ** (width - k)
     return tuple(val)
-
-
-@lru_cache(maxsize=128)
-def _build_grid(
-    ctx: PrimeContext, support_exp: int, resolution_exp: int, n: int
-) -> CosetGrid:
-    scale = Fraction(ctx.p) ** (-support_exp)
-    one_d = tuple(a * scale for a in digit_reversal(ctx.p, support_exp + resolution_exp))
-    reps = tuple(itertools.product(one_d, repeat=n))
-    return CosetGrid(ctx, n, support_exp, resolution_exp, reps)
 
 
 def sphere_representatives(

@@ -94,10 +94,8 @@ def phase_to_complex(phase: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(phase))
 
 
-def _coerce(x, ctx: PrimeContext | None = None) -> tuple[Fraction, int]:
+def _coerce(x, ctx: PrimeContext) -> tuple[Fraction, int]:
     """Accept Fraction, int, or str; return (value, p)."""
-    if ctx is None:
-        raise TypeError("a PrimeContext is required")
     return Fraction(x), ctx.p
 
 
@@ -117,13 +115,13 @@ def rational_valuation(q: Fraction, p: int):
     return v
 
 
-def valuation(x, ctx: PrimeContext | None = None):
+def valuation(x, ctx: PrimeContext):
     """Exponent of p in x: valuation(p**k * a/b) = k.  valuation(0) = +inf."""
     q, p = _coerce(x, ctx)
     return rational_valuation(q, p)
 
 
-def norm_exact(x, ctx: PrimeContext | None = None) -> Fraction:
+def norm_exact(x, ctx: PrimeContext) -> Fraction:
     """|x|_p as an exact power of p (Fraction); 0 for x = 0."""
     q, p = _coerce(x, ctx)
     v = rational_valuation(q, p)
@@ -132,13 +130,13 @@ def norm_exact(x, ctx: PrimeContext | None = None) -> Fraction:
     return Fraction(p) ** (-v)
 
 
-def norm_exponent(x, ctx: PrimeContext | None = None):
+def norm_exponent(x, ctx: PrimeContext):
     """e with |x|_p = p**e, i.e. -valuation(x); -inf for x = 0."""
     v = valuation(x, ctx)
     return NEG_INF if v == INF else -v
 
 
-def padic_norm(x, ctx: PrimeContext | None = None) -> float:
+def padic_norm(x, ctx: PrimeContext) -> float:
     """|x|_p as a float.
 
     Raises OverflowError when p**|v| exceeds the float range; callers that
@@ -151,14 +149,14 @@ def padic_norm(x, ctx: PrimeContext | None = None) -> float:
     return float(p) ** (-v)
 
 
-def canonical_digits(x, count: int, ctx: PrimeContext | None = None):
+def canonical_digits(x, count: int, ctx: PrimeContext):
     """First ``count`` digits of the canonical expansion of x != 0.
 
     Writes x = p**v * (x0 + x1*p + x2*p**2 + ...) with x0 != 0 and digits in
     [0, p).  Returns (v, [x0, ..., x_{count-1}]).
 
     Examples:
-        canonical_digits(p=5, x=1/2, count=3) -> (0, [3, 2, 2])
+        canonical_digits(Fraction(1, 2), 3, PrimeContext(5)) -> (0, [3, 2, 2])
     """
     q, p = _coerce(x, ctx)
     if q == 0:
@@ -197,7 +195,7 @@ def rational_fractional_part(q: Fraction, p: int) -> Fraction:
     return Fraction(residue, pk)
 
 
-def fractional_part(x, ctx: PrimeContext | None = None) -> Fraction:
+def fractional_part(x, ctx: PrimeContext) -> Fraction:
     """{x}_p: the sum of the terms of the canonical expansion with negative
     exponent, a rational in [0, 1) with denominator p**max(0, -valuation).
 
@@ -208,7 +206,7 @@ def fractional_part(x, ctx: PrimeContext | None = None) -> Fraction:
     return rational_fractional_part(q, p)
 
 
-def character(x, ctx: PrimeContext | None = None):
+def character(x, ctx: PrimeContext):
     """Additive character value chi_p(x) = exp(2*pi*i*{x}_p).
 
     Returns (complex value, phase), the phase {x}_p being an exact Fraction in

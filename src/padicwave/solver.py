@@ -114,11 +114,6 @@ def eigenfunction(
     ).scaled(C)
 
 
-def eigenvalue_exponent(K: int, N: int) -> int:
-    """The eigenvalue is p**(alpha * this); kept as an exponent multiplier."""
-    return K * N
-
-
 # ---------------------------------------------------------------------------
 # the propagation kernel
 

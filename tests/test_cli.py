@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padicwave import cli
+from padicwave import cli, lattice
 from padicwave.acceptance import CheckResult
 from padicwave.functions import (
     CosetFunction,
@@ -215,6 +215,10 @@ def test_verify_passes_tolerances_and_bracket_through(tmp_path, monkeypatch):
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
+def _no_representatives(grid):
+    raise AssertionError(f"representatives of {len(grid)} cosets were built")
+
+
 @pytest.mark.parametrize(
     "case",
     ["default", "eigen-p2-n2-K3", "table-p3-n1-K2", "table-p3-n2-complex", "eigen-p3-float-C"],
@@ -224,6 +228,8 @@ def test_solve_output_matches_golden_files(case, tmp_path, monkeypatch):
     # float C makes eigen-p3-float-C a complex table, zero outside its support
     # included, so its u0.csv and its first profile carry no num/den
     monkeypatch.chdir(GOLDEN)
+    # the solve path reads a grid through its digits and never builds a representative
+    monkeypatch.setattr(lattice.CosetGrid, "representatives", property(_no_representatives))
     out = tmp_path / case
     assert cli.main(["solve", "--config", f"{case}.json", "--out", str(out)]) == 0
     want = GOLDEN / case
@@ -242,6 +248,27 @@ def test_solve_p5_n2_files_hash_as_pinned(tmp_path):
     )
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert got == want
+
+
+def test_solve_writes_no_negative_zero(tmp_path):
+    # a negative float C scales a real radial function: every imaginary part is +0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u0_spec": "eigen 1 -0.5", "p": 3}))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    for path in out.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert not any("-0" in row for row in csv.reader(fh)), path.name
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "--tol-duality", "5"], ["verify", "--out", "x"]], ids=["solve", "verify"]
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _broken_table(path: Path, edit: str) -> Path:

@@ -33,7 +33,6 @@ from padicwave.solver import (
     auto_time_sweep,
     dependence_check,
     eigenfunction,
-    eigenvalue_exponent,
     kernel_at_origin_limit,
     kernel_ball_integral,
     kernel_closed_form,
@@ -100,11 +99,6 @@ def test_eigenfunction_transform_is_one_frequency_sphere():
         u = eigen_data(ctx, N, C, K)
         want = scale(sphere_indicator(ctx, 1, K * N), C)
         assert equal_exact(forward(u), want)
-
-
-def test_eigenvalue_exponent_is_bilinear():
-    assert eigenvalue_exponent(2, 3) == 6
-    assert eigenvalue_exponent(1, -2) == -2
 
 
 # -- the propagation kernel ---------------------------------------------------
