@@ -37,6 +37,7 @@ from .functions import (
     CosetFunction,
     embed_radial,
     load_coset_function,
+    nan_max,
 )
 from .lattice import grid_cap
 from .padic import PrimeContext
@@ -81,14 +82,6 @@ def _parse_number(text):
     return value
 
 
-def _parsed(key: str, parse, raw):
-    """parse(raw), with a failure reported as a ConfigError naming the key."""
-    try:
-        return parse(raw)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigError(f"{key}: cannot read {raw!r}") from exc
-
-
 def _integer(raw) -> int:
     """int(raw) for an integer, an integral float or an integer string.
 
@@ -97,6 +90,20 @@ def _integer(raw) -> int:
     if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
         raise TypeError(f"expected an integer, got {raw!r}")
     return int(raw)
+
+
+def _dimension(raw) -> int:
+    n = _integer(raw)
+    if n < 1:
+        raise ValueError(f"the dimension n must be at least 1, got {n}")
+    return n
+
+
+def _tolerance(raw) -> float:
+    tol = float(raw)
+    if not 0 <= tol < math.inf:  # nan compares false
+        raise ValueError(f"a tolerance must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def _list_of(kind):
@@ -108,6 +115,36 @@ def _list_of(kind):
         return [kind(item) for item in raw]
 
     return parse
+
+
+def _sweep(raw):
+    """'auto', or integer time labels: a JSON list, or comma-separated text as a flag gives."""
+    if raw == "auto":
+        return raw
+    if isinstance(raw, str):
+        raw = [s for s in raw.split(",") if s.strip()]
+    return _list_of(_integer)(raw)
+
+
+# Every setting a command shares: its flag (None when only a config file sets
+# it), its parser, its default and its flag's help.  A config value and a flag's
+# text go through the same parser; a command takes the flags of the settings it
+# reads (see build_parser).
+SETTINGS = {
+    "p": ("--p", _integer, 2, "prime"),
+    "n": ("--n", _dimension, 1, "dimension"),
+    "alpha": ("--alpha", _parse_number, 1, "temporal operator order (int, a/b, or float)"),
+    "beta": (None, _parse_number, None, None),
+    "K": ("--K", _integer, 1, "spatial order as a multiple of alpha"),
+    "u0_spec": (None, str, "sphere-indicator 1", None),
+    "sweep": ("--sweep", _sweep, "auto", "'auto' or comma-separated time exponents"),
+    "output": ("--out", str, "padicwave-out", "output directory"),
+    "tolerances.duality": ("--tol-duality", _tolerance, 1e-9, "duality bar (1e-9)"),
+    "tolerances.eigen": ("--tol-eigen", _tolerance, 1e-10, "eigen/round-trip bar (1e-10)"),
+    "tolerances.dependence": ("--tol-dependence", _tolerance, 1e-12, "support-leak bar (1e-12)"),
+    "profile_points": (None, _list_of(str), (), None),
+    "seed": (None, _integer, 20260819, None),
+}
 
 
 def _fmt_float(x: float) -> str:
@@ -124,52 +161,10 @@ def _complex_columns(c: complex) -> tuple:
     return (_fmt_float(c.real), _fmt_float(c.imag), "", "")
 
 
-class RunConfig:
-    """Parsed configuration for ``solve`` (and tolerance plumbing for the rest)."""
-
-    def __init__(self, doc: dict):
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {
-            "p", "n", "alpha", "beta", "K", "u0_spec", "sweep",
-            "output", "tolerances", "profile_points", "seed",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self.p = _parsed("p", _integer, doc.get("p", 2))
-        self.n = _parsed("n", _integer, doc.get("n", 1))
-        self.alpha = _parse_number(doc.get("alpha", 1))
-        self.beta = _parse_number(doc["beta"]) if "beta" in doc else None
-        self.K = _parsed("K", _integer, doc.get("K", 1))
-        self.u0_spec = str(doc.get("u0_spec", "sphere-indicator 1"))
-        self.sweep = doc.get("sweep", "auto")
-        if self.sweep != "auto":
-            self.sweep = _parsed("sweep", _list_of(_integer), self.sweep)
-        self.output = str(doc.get("output", "padicwave-out"))
-        tols = doc.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError("tolerances must be an object")
-        self.tol_duality = _parsed("tolerances.duality", float, tols.get("duality", 1e-9))
-        self.tol_eigen = _parsed("tolerances.eigen", float, tols.get("eigen", 1e-10))
-        self.tol_dependence = _parsed(
-            "tolerances.dependence", float, tols.get("dependence", 1e-12)
-        )
-        self.profile_points = _parsed(
-            "profile_points", _list_of(str), doc.get("profile_points", [])
-        )
-        self.seed = _parsed("seed", _integer, doc.get("seed", 20260819))
-        _check_dimension(self.n)
-
-
-def _check_dimension(n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"the dimension n must be at least 1, got {n}")
-
-
-def _load_config(path: str | None) -> RunConfig:
+def _read_config(path: str | None) -> dict:
+    """The config document at path as flat setting keys; {} without one."""
     if path is None:
-        return RunConfig({})
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -177,37 +172,40 @@ def _load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # not JSON, not UTF-8, or an integer past the int-to-str limit
         raise ConfigError(f"config {path} cannot be read as JSON: {exc}") from exc
-    return RunConfig(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    tols = doc.pop("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ConfigError("tolerances must be an object")
+    nested = {f"tolerances.{k}": v for k, v in tols.items()}
+    unknown = [k for k in doc if "." in k or k not in SETTINGS]
+    unknown += [k for k in nested if k not in SETTINGS]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return {**doc, **nested}
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "p", None) is not None:
-        cfg.p = args.p
-    if getattr(args, "n", None) is not None:
-        _check_dimension(args.n)
-        cfg.n = args.n
-    if getattr(args, "alpha", None) is not None:
-        cfg.alpha = _parse_number(args.alpha)
-    if getattr(args, "K", None) is not None:
-        cfg.K = args.K
-    if getattr(args, "sweep", None) is not None:
-        cfg.sweep = (
-            "auto"
-            if args.sweep == "auto"
-            else _parsed("--sweep", _list_of(int), [s for s in args.sweep.split(",") if s.strip()])
-        )
-    if getattr(args, "out", None) is not None:
-        cfg.output = args.out
-    if getattr(args, "tol_duality", None) is not None:
-        cfg.tol_duality = args.tol_duality
-    if getattr(args, "tol_eigen", None) is not None:
-        cfg.tol_eigen = args.tol_eigen
-    if getattr(args, "tol_dependence", None) is not None:
-        cfg.tol_dependence = args.tol_dependence
+def _settings(args: argparse.Namespace) -> dict:
+    """Each setting from its flag when given, else from the config file, else its default."""
+    doc = _read_config(getattr(args, "config", None))
+    flags = vars(args)
+    cfg = {}
+    for key, (flag, parse, default, _) in SETTINGS.items():
+        if flags.get(key) is not None:
+            source, raw = flag, flags[key]
+        elif key in doc:
+            source, raw = key, doc[key]
+        else:
+            cfg[key] = default
+            continue
+        try:
+            cfg[key] = parse(raw)
+        except (ConfigError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     return cfg
 
 
-def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
+def _build_u0(cfg: dict, ctx: PrimeContext) -> CosetFunction:
     """Initial data from the u0_spec config string.
 
     ``sphere-indicator N``: data whose Fourier transform is the indicator
@@ -216,7 +214,8 @@ def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
     eigenfunction of the spatial operator, scaled by C.  Anything else is
     read as a path to a saved coset-table JSON file.
     """
-    parts = cfg.u0_spec.split()
+    spec = cfg["u0_spec"]
+    parts = spec.split()
     if parts and parts[0] == "sphere-indicator":
         if len(parts) != 2:
             raise ConfigError("usage: u0_spec = 'sphere-indicator N'")
@@ -224,50 +223,68 @@ def _build_u0(cfg: RunConfig, ctx: PrimeContext) -> CosetFunction:
     if parts and parts[0] == "eigen":
         if len(parts) != 3:
             raise ConfigError("usage: u0_spec = 'eigen N C'")
-        return _builtin_u0(cfg, ctx, parts[1], cfg.K, _parse_number(parts[2]))
-    path = Path(cfg.u0_spec)
+        return _builtin_u0(cfg, ctx, parts[1], cfg["K"], _parse_number(parts[2]))
+    path = Path(spec)
     if not path.exists():
-        raise ConfigError(f"u0_spec {cfg.u0_spec!r} is neither a builtin nor a file")
+        raise ConfigError(f"u0_spec {spec!r} is neither a builtin nor a file")
     try:
         f = load_coset_function(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read u0_spec {cfg.u0_spec!r}: {exc}") from exc
+        raise ConfigError(f"cannot read u0_spec {spec!r}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"u0_spec {cfg.u0_spec!r} is not a JSON table: {exc}") from exc
-    if f.ctx.p != cfg.p or f.n != cfg.n:
+        raise ConfigError(f"u0_spec {spec!r} is not a JSON table: {exc}") from exc
+    if f.ctx.p != cfg["p"] or f.n != cfg["n"]:
         raise ConfigError(
-            f"table at {path} is for p={f.ctx.p} n={f.n}, config says p={cfg.p} n={cfg.n}"
+            f"table at {path} is for p={f.ctx.p} n={f.n}, config says p={cfg['p']} n={cfg['n']}"
         )
     return f
 
 
-def _builtin_u0(cfg: RunConfig, ctx: PrimeContext, N_text: str, K: int, C) -> CosetFunction:
-    """The eigenfunction datum of exponent N on its grid, refused before it is
-    built when its values or coordinates would not fit a CSV cell.
+def _refuse_large_eigen_datum(what: str, p: int, n: int, KN: int, C, order=0) -> None:
+    """Refuse, before it is built, an eigen datum of exponent N (KN = K*N)
+    whose numbers, or whose image under an operator of the given order,
+    would pass BUILTIN_BITS.
 
-    Its values are C times powers of p up to p**((|K*N| + 1) * n) and its
-    coordinates powers up to p**(|K*N| + 2); each is written as a float,
-    which holds about 2**1024, and as an exact fraction.
+    Its values are C times powers of p up to p**((|KN| + 1) * n), its
+    coordinates powers up to p**(|KN| + 2), and the operator scales it by
+    p**(KN * order).  A float C counts by its binary exponent, an exact one
+    by its numerator and denominator.  A datum is written as floats, and a
+    float holds about 2**1024.
     """
-    N = _parsed("u0_spec", int, N_text)
-    bits = (abs(K * N) + 2) * cfg.n * math.log2(ctx.p)
-    if not isinstance(C, float):  # an int or a Fraction
-        bits += max(C.numerator.bit_length(), C.denominator.bit_length())
+    if isinstance(C, float):
+        bits = abs(math.frexp(C)[1])
+    else:  # an int or a Fraction
+        bits = max(C.numerator.bit_length(), C.denominator.bit_length())
+    try:
+        bits += ((abs(KN) + 2) * n + abs(KN) * float(order)) * math.log2(p)
+    except OverflowError:  # |KN| past the float range
+        bits = math.inf
     if bits > BUILTIN_BITS:
         raise ConfigError(
-            f"u0_spec {cfg.u0_spec!r} needs numbers of about {bits:.0f} bits, "
-            f"above the {BUILTIN_BITS} bits a CSV value can hold"
+            f"{what} needs numbers of about {bits:.0f} bits, "
+            f"above the {BUILTIN_BITS} bits a float can hold"
         )
-    r = eigenfunction(N, C, K, ctx, cfg.n)
-    return embed_radial(r, -K * N + 2, K * N + 1, cfg.n)
 
 
-def _build_problem(cfg: RunConfig) -> WaveProblem:
-    ctx = PrimeContext(cfg.p)
+def _builtin_u0(cfg: dict, ctx: PrimeContext, N_text: str, K: int, C) -> CosetFunction:
+    """The eigenfunction datum of exponent N on its grid, refused before it is
+    built when its values or coordinates would not fit a CSV cell, which
+    holds each as a float and as an exact fraction."""
+    try:
+        N = int(N_text)
+    except ValueError as exc:
+        raise ConfigError(f"u0_spec: {exc}") from exc
+    _refuse_large_eigen_datum(f"u0_spec {cfg['u0_spec']!r}", ctx.p, cfg["n"], K * N, C)
+    r = eigenfunction(N, C, K, ctx, cfg["n"])
+    return embed_radial(r, -K * N + 2, K * N + 1, cfg["n"])
+
+
+def _build_problem(cfg: dict) -> WaveProblem:
+    ctx = PrimeContext(cfg["p"])
     u0 = _build_u0(cfg, ctx)
-    if cfg.beta is not None:
-        return WaveProblem.from_alpha_beta(ctx, cfg.n, cfg.alpha, cfg.beta, u0)
-    return WaveProblem(ctx=ctx, n=cfg.n, alpha=cfg.alpha, K=cfg.K, u0=u0)
+    if cfg["beta"] is not None:
+        return WaveProblem.from_alpha_beta(ctx, cfg["n"], cfg["alpha"], cfg["beta"], u0)
+    return WaveProblem(ctx=ctx, n=cfg["n"], alpha=cfg["alpha"], K=cfg["K"], u0=u0)
 
 
 def _write_slice_csv(path: Path, field: CosetFunction) -> None:
@@ -303,14 +320,14 @@ def _digits(L: int) -> int:
     return int(abs(L).bit_length() * math.log10(2)) + 1
 
 
-def _time_labels(prob: WaveProblem, cfg: RunConfig) -> list:
+def _time_labels(prob: WaveProblem, cfg: dict) -> list:
     """The labels to write, refused before anything is written when a slice
     file name would pass 255 bytes or a time profile would weigh its labels
     by p**L past BUILTIN_BITS (exit 2), or when the auto sweep, the range of
     K*(N_max - N_min) + 4 labels, holds more than the grid cap allows cosets
     (exit 3).  The auto sweep is judged on its ends and length."""
     auto = auto_time_sweep(prob)
-    sweep = auto if cfg.sweep == "auto" else cfg.sweep
+    sweep = auto if cfg["sweep"] == "auto" else cfg["sweep"]
     ends = (auto[0], auto[-1]) if sweep is auto else (min(sweep, default=0), max(sweep, default=0))
     for L in ends:  # str(L) holds the digits of |L|, and a sign when L < 0
         if abs(L) >= 10 ** (LABEL_DIGITS - (L < 0)):
@@ -319,7 +336,7 @@ def _time_labels(prob: WaveProblem, cfg: RunConfig) -> list:
                 "longer than the 255 bytes a file name can hold")
     # a profile weighs label L of the auto sweep by p**L, from auto.start - 1 on
     top = max(abs(auto.start - 1), abs(auto.stop - 1))
-    if cfg.profile_points and top > BUILTIN_BITS / math.log2(prob.ctx.p):
+    if cfg["profile_points"] and top > BUILTIN_BITS / math.log2(prob.ctx.p):
         raise ConfigError(
             f"a time profile would weigh its labels by p**L with |L| of about {_digits(top)} "
             f"digits, past the {BUILTIN_BITS} bits a float can hold")
@@ -330,11 +347,10 @@ def _time_labels(prob: WaveProblem, cfg: RunConfig) -> list:
     return list(sweep)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     prob = _build_problem(cfg)
     sweep = _time_labels(prob, cfg)
-    out = Path(cfg.output)
+    out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
     _write_slice_csv(out / "u0.csv", prob.u0)
     l1_ratios = {}
@@ -346,7 +362,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         l1_ratios[str(L)] = rep.ratio
         bound = rep.bound
     profiles = []
-    for i, text in enumerate(cfg.profile_points):
+    for i, text in enumerate(cfg["profile_points"]):
         x = tuple(_parse_number(s) for s in text.split(","))
         if len(x) != prob.n:
             raise ConfigError(f"profile point {text!r} has {len(x)} coordinates, need {prob.n}")
@@ -360,7 +376,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "alpha": str(prob.alpha),
         "K": prob.K,
         "beta": str(prob.beta),
-        "u0_spec": cfg.u0_spec,
+        "u0_spec": cfg["u0_spec"],
         "sweep": sweep,
         "u0_in_zero_mean_class": True,  # WaveProblem refuses data outside Phi
         "u0_l1_norm": _fmt_float(float(prob.u0_l1)),
@@ -375,11 +391,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_kernel_table(args: argparse.Namespace) -> int:
+def cmd_kernel_table(cfg: dict, args: argparse.Namespace) -> int:
     for name, lo, hi in (("L", args.L_min, args.L_max), ("M", args.M_min, args.M_max)):
         if not (-12 <= lo <= hi <= 12):
             raise ConfigError(f"{name} range [{lo}, {hi}] must sit inside [-12, 12]")
-    ctx = PrimeContext(args.p)
+    p, n, K = cfg["p"], cfg["n"], cfg["K"]
+    ctx = PrimeContext(p)
     out = Path(args.out or "kernel-table.csv")
     if out.is_dir():
         out = out / "kernel-table.csv"
@@ -392,12 +409,12 @@ def cmd_kernel_table(args: argparse.Namespace) -> int:
         )
         for L in range(args.L_min, args.L_max + 1):
             for M in range(args.M_min, args.M_max + 1):
-                closed = kernel_closed_form(args.K, args.n, L, M, ctx, bracket=args.bracket)
-                oracle = kernel_oracle(args.K, args.n, L, M, ctx)
+                closed = kernel_closed_form(K, n, L, M, ctx, bracket=args.bracket)
+                oracle = kernel_oracle(K, n, L, M, ctx)
                 equal = closed == oracle
                 mismatches += 0 if equal else 1
                 w.writerow(
-                    [args.p, args.n, args.K, L, M,
+                    [p, n, K, L, M,
                      closed.numerator, closed.denominator,
                      oracle.numerator, oracle.denominator,
                      "true" if equal else "false"]
@@ -406,26 +423,27 @@ def cmd_kernel_table(args: argparse.Namespace) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_VERIFY_FAILED
 
 
-def cmd_eigen_check(args: argparse.Namespace) -> int:
+def cmd_eigen_check(cfg: dict, args: argparse.Namespace) -> int:
     from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
 
-    ctx = PrimeContext(args.p)
-    alpha = _parse_number(args.alpha)
-    r = eigenfunction(args.N, _parse_number(args.C), args.K, ctx, args.n)
-    f = embed_radial(r, -args.K * args.N + 1, args.K * args.N, args.n)
-    params = OperatorParams(ctx=ctx, n=args.n, alpha=alpha)
-    lam = params.power_of_p(args.K * args.N)
-    worst = 0.0
+    p, n, K, alpha, N = cfg["p"], cfg["n"], cfg["K"], cfg["alpha"], args.N
+    ctx = PrimeContext(p)
+    C = _parse_number(args.C)
+    params = OperatorParams(ctx=ctx, n=n, alpha=alpha)
+    _refuse_large_eigen_datum(f"eigen-check with N={N} C={args.C}", p, n, K * N, C, alpha)
+    r = eigenfunction(N, C, K, ctx, n)
+    f = embed_radial(r, -K * N + 1, K * N, n)
+    lam = complex(float(params.power_of_p(K * N)))
+    errors = []
     for got in (apply_spectral(params, f), apply_hypersingular_field(params, f)):
         for v, w in zip(got.complex_values(), f.complex_values()):
-            ref = w * complex(float(lam))
-            err = abs(v - ref)
-            worst = max(worst, err / max(abs(ref), 1e-30))
-    tol = args.tol_eigen if args.tol_eigen is not None else 1e-10
-    ok = worst <= tol
+            ref = w * lam
+            errors.append(abs(v - ref) / max(abs(ref), 1e-30))
+    worst = nan_max(errors)
+    ok = worst <= cfg["tolerances.eigen"]
     print(
-        f"eigen-check p={args.p} n={args.n} K={args.K} N={args.N} alpha={alpha}: "
-        f"eigenvalue exponent {args.K * args.N} * alpha, worst relative error "
+        f"eigen-check p={p} n={n} K={K} N={N} alpha={alpha}: "
+        f"eigenvalue exponent {K * N} * alpha, worst relative error "
         f"{worst:.3e} ({'ok' if ok else 'FAIL'})"
     )
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -438,14 +456,13 @@ def run_all(**kwargs):
     return run_suite(**kwargs)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     results = run_all(
         bracket=args.inject_bracket,
-        seed=cfg.seed,
-        tol_duality=cfg.tol_duality,
-        tol_eigen=cfg.tol_eigen,
-        tol_dependence=cfg.tol_dependence,
+        seed=cfg["seed"],
+        tol_duality=cfg["tolerances.duality"],
+        tol_eigen=cfg["tolerances.eigen"],
+        tol_dependence=cfg["tolerances.dependence"],
     )
     width = max(len(r.name) for r in results)
     for r in results:
@@ -459,6 +476,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_setting_flags(sp: argparse.ArgumentParser, *keys: str) -> None:
+    """The flags of these settings; each is read by _settings, so none has a type or a default."""
+    for key in keys:
+        flag, _, _, help_ = SETTINGS[key]
+        sp.add_argument(flag, dest=key, help=help_)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicwave",
@@ -469,18 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="evolve initial data, write CSV slices")
     sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--p", type=int, help="prime")
-    sp.add_argument("--n", type=int, help="dimension")
-    sp.add_argument("--alpha", help="temporal operator order (int, a/b, or float)")
-    sp.add_argument("--K", type=int, help="spatial order as a multiple of alpha")
-    sp.add_argument("--sweep", help="'auto' or comma-separated time exponents")
+    _add_setting_flags(sp, "output", "p", "n", "alpha", "K", "sweep")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("kernel-table", help="tabulate the kernel, closed form vs oracle")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--K", type=int, default=1)
+    _add_setting_flags(sp, "p", "n", "K")
     sp.add_argument("--L-min", dest="L_min", type=int, default=-4)
     sp.add_argument("--L-max", dest="L_max", type=int, default=4)
     sp.add_argument("--M-min", dest="M_min", type=int, default=-4)
@@ -491,23 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_kernel_table)
 
     sp = sub.add_parser("eigen-check", help="verify the eigenvalue relation once")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--K", type=int, default=1)
+    _add_setting_flags(sp, "p", "n", "K", "alpha", "tolerances.eigen")
     sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--alpha", default="1")
     sp.add_argument("--C", default="1")
-    sp.add_argument("--tol-eigen", dest="tol_eigen", type=float)
     sp.set_defaults(func=cmd_eigen_check)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--tol-duality", dest="tol_duality", type=float,
-                    help="override the 1e-9 duality bar")
-    sp.add_argument("--tol-eigen", dest="tol_eigen", type=float,
-                    help="override the 1e-10 eigen/round-trip bar")
-    sp.add_argument("--tol-dependence", dest="tol_dependence", type=float,
-                    help="override the 1e-12 support-leak bar")
+    _add_setting_flags(sp, "tolerances.duality", "tolerances.eigen", "tolerances.dependence")
     sp.add_argument("--inject-bracket", choices=("ceil", "floor"), default="ceil",
                     help="mutation-testing hook: 'floor' must make the suite fail")
     sp.set_defaults(func=cmd_verify)
@@ -517,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_settings(args), args)
     except GridCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRID_CAP

@@ -269,9 +269,19 @@ def translate(f: CosetFunction, a) -> CosetFunction:
     return CosetFunction(grid, values)
 
 
+def nan_max(values) -> float:
+    """max(values, default=0.0), or nan when a value is nan.
+
+    max() keeps a nan only in first place, so a check that folded its
+    errors with it would pass on nan results.
+    """
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def max_abs_diff(f: CosetFunction, g: CosetFunction) -> float:
     a, b = _common_grid(f, g)
-    return max(map(abs, map(complex.__sub__, a.complex_values(), b.complex_values())), default=0.0)
+    return nan_max(map(abs, map(complex.__sub__, a.complex_values(), b.complex_values())))
 
 
 def equal_exact(f: CosetFunction, g: CosetFunction) -> bool:

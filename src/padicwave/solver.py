@@ -43,6 +43,7 @@ from .functions import (
     integrate,
     is_in_Phi,
     l1_norm,
+    nan_max,
     regrid,
 )
 from .lattice import SphereSpec, digit_valuations, sphere_volume
@@ -444,15 +445,13 @@ def dependence_check(
         """|f| on the cosets outside the ball (the origin's exponent is -inf)."""
         return [abs(c) for e, c in zip(f.grid.norm_exponents, f.complex_values()) if e > N]
 
-    confined = max(outside(prob.u0), default=0.0) <= tol
+    confined = nan_max(outside(prob.u0)) <= tol
     wide = regrid(prob.u0, prob.u0.support_exp + pad, prob.u0.resolution_exp)
     wide_prob = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=prob.alpha, K=prob.K, u0=wide)
     sweep = auto_time_sweep(wide_prob)
     L_top = prob.K * (N - 1)
     labels = sorted(set(lab for lab in sweep if lab <= L_top) | {L_top, L_top - 1})
-    max_leak = 0.0
-    for L in labels:
-        max_leak = max([max_leak, *outside(solve_averaging(wide_prob, L).field)])
+    max_leak = nan_max(c for L in labels for c in outside(solve_averaging(wide_prob, L).field))
     return DependenceReport(
         N=N,
         data_confined=confined,
@@ -512,11 +511,10 @@ def uniqueness_smoke(prob: WaveProblem, labels=None) -> UniquenessReport:
         raise ConfigError("uniqueness smoke test needs identically zero data")
     if labels is None:
         labels = list(auto_time_sweep(prob)) or [-1, 0, 1]
-    worst = 0.0
-    for L in labels:
-        routes = (solve_averaging, solve_spectral, solve_convolution)
-        for sl in (route(prob, L) for route in routes):
-            worst = max(worst, *map(abs, sl.field.complex_values()))
+    routes = (solve_averaging, solve_spectral, solve_convolution)
+    worst = nan_max(
+        abs(c) for L in labels for route in routes for c in route(prob, L).field.complex_values()
+    )
     return UniquenessReport(swept=tuple(labels), max_abs=worst, passed=worst <= 1e-12)
 
 

@@ -49,8 +49,12 @@ class OperatorParams:
     def __init__(self, ctx: PrimeContext, n: int, alpha):
         if n < 1:
             raise ConfigError(f"dimension must be >= 1, got {n}")
-        if not order_float(alpha, "the operator order") > 0:
+        order = order_float(alpha, "the operator order")
+        if not order > 0:
             raise ConfigError(f"the operator order must be positive, got {alpha}")
+        if float(ctx.p) ** -order == 1.0:  # the tail weight divides by 1 - p**-alpha
+            raise ConfigError(f"the operator order {alpha} is too small for a float: "
+                              "p**-alpha rounds to 1")
         self.ctx = ctx
         self.n = n
         self.alpha = alpha  # positive int, Fraction, or float

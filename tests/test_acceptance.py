@@ -5,11 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines
 with their detail strings; the whole file is the release gate.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from padicwave import acceptance
+from padicwave import acceptance, solver, vladimirov
+from padicwave.functions import CosetFunction
 from padicwave.lattice import enumerate_cosets, vector_norm_exponent
 from padicwave.padic import NEG_INF, PrimeContext, rational_fractional_part
 from padicwave.phases import PhaseSum
@@ -69,6 +71,35 @@ def test_kernel_identity_catches_an_injected_fault():
     r = acceptance.check_kernel_identity(bracket="floor")
     assert not r.passed
     assert "mismatch" in r.detail
+
+
+def _nan_table(f):
+    return CosetFunction(f.grid, [math.nan] * len(f.grid))
+
+
+def _nan_hypersingular(params, f, *args, **kwargs):
+    return _nan_table(f)
+
+
+def _nan_convolution(prob, L):
+    real = solver.solve_convolution(prob, L)
+    return real if L == solver.T_ZERO else solver.SolutionSlice(L, _nan_table(real.field))
+
+
+@pytest.mark.parametrize(
+    "module, route, replacement, check",
+    [
+        (vladimirov, "apply_hypersingular_field", _nan_hypersingular, "check_eigenrelation"),
+        (acceptance, "solve_convolution", _nan_convolution, "check_solver_duality"),
+    ],
+    ids=["eigenrelation", "solver-duality"],
+)
+def test_a_route_that_returns_nan_fails_its_check(module, route, replacement, check, monkeypatch):
+    # max() drops a nan that does not come first, so a fold with it would pass
+    monkeypatch.setattr(module, route, replacement)
+    r = getattr(acceptance, check)()
+    assert not r.passed, r.detail
+    assert "nan" in r.detail
 
 
 def _reference_ball_sum_1d(ctx, gamma, xi):

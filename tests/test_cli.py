@@ -330,6 +330,10 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"n": 10**7}, []),
         ({"p": 3317044064679887385961981}, []),
         ('{"K": ' + "9" * 5000 + "}", []),
+        ({"p": 3, "u0_spec": "eigen 1 1e308"}, []),
+        ({"u0_spec": "eigen 1" + "0" * 400 + " 1"}, []),
+        ({"K": 10**400, "u0_spec": "eigen 1 1"}, []),
+        ({"tolerances": {"speed": 1}}, []),
     ],
     ids=[
         "p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry",
@@ -339,6 +343,7 @@ def _broken_table(path: Path, edit: str) -> Path:
         "tolerance-overflow", "table-directory", "table-not-json",
         "alpha-overflow", "beta-overflow", "sphere-indicator-huge", "sphere-indicator-tiny",
         "eigen-huge", "n-huge", "p-beyond-exact-primality", "K-literal-past-int-limit",
+        "eigen-float-C-huge", "eigen-N-past-float", "eigen-K-past-float", "tolerance-unknown",
     ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
@@ -359,6 +364,45 @@ def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def _suite_must_not_run(**kw):
+    raise AssertionError("verify ran its suite on a bad setting")
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["verify", "--tol-duality", "nan"], None),
+        (["verify", "--tol-duality", "-1"], None),
+        (["verify"], {"tolerances": {"eigen": -1}}),
+        (["eigen-check", "--tol-eigen", "nan"], None),
+        (["eigen-check", "--tol-eigen", "-1"], None),
+        (["kernel-table", "--n", "-1"], None),
+        (["kernel-table", "--n", "0"], None),
+        (["eigen-check", "--p", "3", "--C", "1e308"], None),
+        (["eigen-check", "--p", "3", "--N", "400"], None),
+        (["eigen-check", "--alpha", "1e-320"], None),
+    ],
+    ids=[
+        "verify-tol-nan", "verify-tol-negative", "verify-config-tol-negative",
+        "eigen-check-tol-nan", "eigen-check-tol-negative", "kernel-table-n-negative",
+        "kernel-table-n-zero", "eigen-check-float-C-huge", "eigen-check-eigenvalue-huge",
+        "eigen-check-alpha-tiny",
+    ],
+)
+def test_bad_settings_of_every_command_exit_2(argv, doc, tmp_path, monkeypatch, capsys):
+    # every command reads its shared settings through one parser each, and a
+    # refusal comes before anything is computed or written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_all", _suite_must_not_run)
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", "cfg.json"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "kernel-table.csv").exists()
 
 
 def test_near_integer_exact_ratio_is_refused(tmp_path, capsys):
