@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 # first access to one of its names (PEP 562), so ``padicwave solve`` loads
 # neither the Fourier layer nor the acceptance suite.
 _MODULE_OF = {
-    "BallSpec": "lattice",
     "ConfigError": "errors",
     "CosetFunction": "functions",
     "CosetGrid": "lattice",
@@ -30,7 +29,6 @@ _MODULE_OF = {
     "RadialShellFunction": "functions",
     "SolutionSlice": "solver",
     "SpectralCompatibilityError": "errors",
-    "SphereSpec": "lattice",
     "T_ZERO": "solver",
     "WaveProblem": "solver",
     "add": "functions",
@@ -62,7 +60,6 @@ _MODULE_OF = {
     "l1_norm": "functions",
     "load_coset_function": "functions",
     "max_abs_diff": "functions",
-    "multiplier_value": "solver",
     "norm_exact": "padic",
     "norm_exponent": "padic",
     "padic_norm": "padic",

@@ -351,7 +351,10 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     prob = _build_problem(cfg)
     sweep = _time_labels(prob, cfg)
     out = Path(cfg["output"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, or a parent that is a file
+        raise ConfigError(f"cannot make the output directory {out}: {exc.strerror}") from exc
     _write_slice_csv(out / "u0.csv", prob.u0)
     l1_ratios = {}
     bound = None
@@ -391,17 +394,45 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _refuse_large_kernel_values(p: int, n: int, K: int, args: argparse.Namespace) -> None:
+    """Refuse, before any is computed, kernel values whose numerators or
+    denominators would pass Python's int-to-str limit, so the CSV could not
+    hold them.
+
+    On the window, every such number is below p**(n*e + 1), where e is the
+    largest of |M| and ceil(|L|/K): the values are powers of p times
+    rationals over p - 1, with exponents up to n*M or n*ceil(L/K).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    e = max(abs(args.M_min), abs(args.M_max), math.ceil(max(abs(args.L_min), abs(args.L_max)) / K))
+    try:
+        digits = ((n * e + 1) * math.log2(p) + 1) * math.log10(2)
+    except OverflowError:  # n past the float range
+        digits = math.inf
+    if limit and digits > limit:
+        shown = f"{digits:.0f}" if digits < math.inf else "over 10**308"
+        raise ConfigError(
+            f"kernel values would have about {shown} decimal digits, "
+            f"above the {limit} that Python converts an int to text with"
+        )
+
+
 def cmd_kernel_table(cfg: dict, args: argparse.Namespace) -> int:
     for name, lo, hi in (("L", args.L_min, args.L_max), ("M", args.M_min, args.M_max)):
         if not (-12 <= lo <= hi <= 12):
             raise ConfigError(f"{name} range [{lo}, {hi}] must sit inside [-12, 12]")
     p, n, K = cfg["p"], cfg["n"], cfg["K"]
     ctx = PrimeContext(p)
+    _refuse_large_kernel_values(p, n, K, args)
     out = Path(args.out or "kernel-table.csv")
     if out.is_dir():
         out = out / "kernel-table.csv"
+    try:
+        fh = open(out, "w", newline="", encoding="utf-8")
+    except OSError as exc:  # a missing directory, or one that may not be written
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     mismatches = 0
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["p", "n", "K", "L", "M",
@@ -449,14 +480,9 @@ def cmd_eigen_check(cfg: dict, args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def run_all(**kwargs):
-    """Run the acceptance suite; it is imported here so other commands never load it."""
-    from .acceptance import run_all as run_suite
-
-    return run_suite(**kwargs)
-
-
 def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
+    from .acceptance import run_all  # imported here, so other commands never load the suite
+
     results = run_all(
         bracket=args.inject_bracket,
         seed=cfg["seed"],

@@ -150,9 +150,6 @@ class CosetFunction:
         """(representative, value) pairs in deterministic grid order."""
         return zip(self.grid.representatives, self.values)
 
-    def is_exact(self) -> bool:
-        return self.kind != COMPLEX
-
     def __repr__(self) -> str:
         return (
             f"CosetFunction(p={self.ctx.p}, n={self.n}, "

@@ -61,30 +61,9 @@ def vector_norm_exponent(vec: tuple[Fraction, ...], p: int):
     return best
 
 
-class BallSpec:
-    """B_gamma^n = {x : |x|_p <= p**gamma}; treat as immutable."""
-
-    __slots__ = ("ctx", "n", "radius_exp")
-
-    def __init__(self, ctx: PrimeContext, n: int, radius_exp: int):
-        if n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {n}")
-        self.ctx = ctx
-        self.n = n
-        self.radius_exp = radius_exp
-
-
-class SphereSpec:
-    """S_gamma^n = {x : |x|_p = p**gamma}; treat as immutable."""
-
-    __slots__ = ("ctx", "n", "radius_exp")
-
-    def __init__(self, ctx: PrimeContext, n: int, radius_exp: int):
-        if n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {n}")
-        self.ctx = ctx
-        self.n = n
-        self.radius_exp = radius_exp
+def _require_dimension(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"dimension must be >= 1, got {n}")
 
 
 class CosetGrid:
@@ -191,41 +170,42 @@ class CosetGrid:
         return index
 
 
-def ball_volume(ball: BallSpec) -> Fraction:
-    return Fraction(ball.ctx.p) ** (ball.n * ball.radius_exp)
+def ball_volume(ctx: PrimeContext, n: int, radius_exp: int) -> Fraction:
+    """Volume of B_gamma^n = {x : |x|_p <= p**gamma}, gamma = radius_exp."""
+    _require_dimension(n)
+    return Fraction(ctx.p) ** (n * radius_exp)
 
 
-def sphere_volume(sphere: SphereSpec) -> Fraction:
-    p, n = sphere.ctx.p, sphere.n
-    return (1 - Fraction(p) ** (-n)) * Fraction(p) ** (n * sphere.radius_exp)
+def sphere_volume(ctx: PrimeContext, n: int, radius_exp: int) -> Fraction:
+    """Volume of S_gamma^n = {x : |x|_p = p**gamma}, gamma = radius_exp."""
+    _require_dimension(n)
+    p = Fraction(ctx.p)
+    return (1 - p ** (-n)) * p ** (n * radius_exp)
 
 
-def ball_character_integral(ball: BallSpec, xi) -> Fraction:
-    """Integral of chi_p(xi . x) over the ball, exactly.
+def ball_character_integral(ctx: PrimeContext, n: int, radius_exp: int, xi) -> Fraction:
+    """Integral of chi_p(xi . x) over the ball B_gamma^n, exactly.
 
     Nonzero (= the ball volume) precisely when the character is trivial on
     the ball, i.e. |xi|_p <= p**-gamma.
     """
-    vec = as_fraction_vector(xi, ball.n)
-    e = vector_norm_exponent(vec, ball.ctx.p)
-    if e <= -ball.radius_exp:
-        return ball_volume(ball)
-    return Fraction(0)
+    _require_dimension(n)
+    e = vector_norm_exponent(as_fraction_vector(xi, n), ctx.p)
+    return ball_volume(ctx, n, radius_exp) if e <= -radius_exp else Fraction(0)
 
 
-def sphere_character_integral(sphere: SphereSpec, xi) -> Fraction:
-    """Integral of chi_p(xi . x) over the sphere, exactly.
+def sphere_character_integral(ctx: PrimeContext, n: int, radius_exp: int, xi) -> Fraction:
+    """Integral of chi_p(xi . x) over the sphere S_gamma^n, exactly.
 
     Equals the sphere volume while the character is trivial on B_gamma,
     a single negative value one shell further out, and 0 beyond.
     """
-    vec = as_fraction_vector(xi, sphere.n)
-    p, n, gamma = sphere.ctx.p, sphere.n, sphere.radius_exp
-    e = vector_norm_exponent(vec, p)
-    if e <= -gamma:
-        return sphere_volume(sphere)
-    if e == -gamma + 1:
-        return -(Fraction(p) ** (n * (gamma - 1)))
+    _require_dimension(n)
+    e = vector_norm_exponent(as_fraction_vector(xi, n), ctx.p)
+    if e <= -radius_exp:
+        return sphere_volume(ctx, n, radius_exp)
+    if e == 1 - radius_exp:
+        return -(Fraction(ctx.p) ** (n * (radius_exp - 1)))
     return Fraction(0)
 
 
@@ -248,8 +228,7 @@ def enumerate_cosets(
     override via the PADICWAVE_GRID_CAP environment variable).  A count far
     past the cap is judged on its logarithm, so it is never built.
     """
-    if n < 1:
-        raise ConfigError(f"dimension must be >= 1, got {n}")
+    _require_dimension(n)
     cap = grid_cap()
     power = n * (support_exp + resolution_exp)
     far = power * math.log2(ctx.p) > cap.bit_length() + 1

@@ -2,9 +2,10 @@
 
 A rational number x != 0 factors uniquely as p**v * (a/b) with p dividing
 neither a nor b; v is the valuation and |x|_p = p**-v the norm.  Everything
-here works on exact ``fractions.Fraction`` values.  Norm magnitudes are only
-converted to floats at the caller's request; all control flow inside the
-package is driven by integer valuations.
+here works on exact ``fractions.Fraction`` values; a function that takes a
+scalar x with a PrimeContext also accepts an int or a str for x.  Norm
+magnitudes are only converted to floats at the caller's request; all
+control flow inside the package is driven by integer valuations.
 """
 
 from __future__ import annotations
@@ -94,11 +95,6 @@ def phase_to_complex(phase: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(phase))
 
 
-def _coerce(x, ctx: PrimeContext) -> tuple[Fraction, int]:
-    """Accept Fraction, int, or str; return (value, p)."""
-    return Fraction(x), ctx.p
-
-
 def rational_valuation(q: Fraction, p: int):
     """Valuation of a bare Fraction; INF for zero."""
     if q == 0:
@@ -117,17 +113,15 @@ def rational_valuation(q: Fraction, p: int):
 
 def valuation(x, ctx: PrimeContext):
     """Exponent of p in x: valuation(p**k * a/b) = k.  valuation(0) = +inf."""
-    q, p = _coerce(x, ctx)
-    return rational_valuation(q, p)
+    return rational_valuation(Fraction(x), ctx.p)
 
 
 def norm_exact(x, ctx: PrimeContext) -> Fraction:
     """|x|_p as an exact power of p (Fraction); 0 for x = 0."""
-    q, p = _coerce(x, ctx)
-    v = rational_valuation(q, p)
+    v = valuation(x, ctx)
     if v == INF:
         return Fraction(0)
-    return Fraction(p) ** (-v)
+    return Fraction(ctx.p) ** (-v)
 
 
 def norm_exponent(x, ctx: PrimeContext):
@@ -142,11 +136,10 @@ def padic_norm(x, ctx: PrimeContext) -> float:
     Raises OverflowError when p**|v| exceeds the float range; callers that
     need exactness should use norm_exact or norm_exponent instead.
     """
-    q, p = _coerce(x, ctx)
-    v = rational_valuation(q, p)
+    v = valuation(x, ctx)
     if v == INF:
         return 0.0
-    return float(p) ** (-v)
+    return float(ctx.p) ** (-v)
 
 
 def canonical_digits(x, count: int, ctx: PrimeContext):
@@ -158,7 +151,7 @@ def canonical_digits(x, count: int, ctx: PrimeContext):
     Examples:
         canonical_digits(Fraction(1, 2), 3, PrimeContext(5)) -> (0, [3, 2, 2])
     """
-    q, p = _coerce(x, ctx)
+    q, p = Fraction(x), ctx.p
     if q == 0:
         raise ConfigError("the zero scalar has no canonical digit expansion")
     if count < 1:
@@ -202,8 +195,7 @@ def fractional_part(x, ctx: PrimeContext) -> Fraction:
     x - {x}_p always has nonnegative valuation, and {x+y}_p differs from
     {x}_p + {y}_p by an integer.
     """
-    q, p = _coerce(x, ctx)
-    return rational_fractional_part(q, p)
+    return rational_fractional_part(Fraction(x), ctx.p)
 
 
 def character(x, ctx: PrimeContext):
@@ -213,6 +205,5 @@ def character(x, ctx: PrimeContext):
     [0, 1) whose denominator is a power of p; use it whenever downstream
     arithmetic wants to stay rational.
     """
-    q, p = _coerce(x, ctx)
-    phase = rational_fractional_part(q, p)
+    phase = rational_fractional_part(Fraction(x), ctx.p)
     return phase_to_complex(phase), phase

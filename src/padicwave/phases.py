@@ -157,70 +157,3 @@ def _is_zero(coeffs: dict[int, Fraction], big_q: int, p: int) -> bool:
     for a, c in coeffs.items():
         parts[a % p][a // p] = c
     return all(_is_zero(part, smaller, p) for part in parts)
-
-
-# ---------------------------------------------------------------------------
-# Single-value helpers for the oracles.  A value may be exact (int/Fraction/
-# PhaseSum) or floating (float/complex); these keep the exact ones exact and
-# fall back to complex arithmetic otherwise.  Tables never mix the two.
-# ---------------------------------------------------------------------------
-
-
-def is_exact_value(v) -> bool:
-    return isinstance(v, (int, Fraction, PhaseSum))
-
-
-def value_to_complex(v) -> complex:
-    if isinstance(v, PhaseSum):
-        return v.to_complex()
-    if isinstance(v, Fraction):
-        return complex(float(v))
-    return complex(v)
-
-
-def value_add(a, b):
-    if isinstance(a, PhaseSum) or isinstance(b, PhaseSum):
-        p = a.p if isinstance(a, PhaseSum) else b.p
-        return (_as_phase_sum(a, p) + _as_phase_sum(b, p))
-    if is_exact_value(a) and is_exact_value(b):
-        return Fraction(a) + Fraction(b)
-    return value_to_complex(a) + value_to_complex(b)
-
-
-def value_scale(v, s):
-    """v * s where s is an exact rational or a float scalar."""
-    if isinstance(s, (int, Fraction)):
-        if isinstance(v, PhaseSum):
-            return v.scaled(s)
-        if is_exact_value(v):
-            return Fraction(v) * Fraction(s)
-        return value_to_complex(v) * float(s)
-    return value_to_complex(v) * complex(s)
-
-
-def reduce_value(v):
-    """Collapse a PhaseSum to a plain Fraction when it is rational."""
-    if isinstance(v, PhaseSum):
-        r = v.as_rational()
-        return r if r is not None else v
-    return v
-
-
-def values_equal(a, b) -> bool:
-    """Exact equality across the mixed value types."""
-    if isinstance(a, PhaseSum) or isinstance(b, PhaseSum):
-        p = a.p if isinstance(a, PhaseSum) else b.p
-        return _as_phase_sum(a, p) == _as_phase_sum(b, p)
-    if is_exact_value(a) and is_exact_value(b):
-        return Fraction(a) == Fraction(b)
-    return value_to_complex(a) == value_to_complex(b)
-
-
-def _as_phase_sum(v, p: int) -> PhaseSum:
-    if isinstance(v, PhaseSum):
-        if v.p != p:
-            raise ConfigError("cannot mix primes in one phase sum")
-        return v
-    if is_exact_value(v):
-        return PhaseSum(p, {_ZERO: Fraction(v)})
-    raise TypeError(f"cannot promote inexact value {v!r} to a phase sum")

@@ -46,7 +46,7 @@ from .functions import (
     nan_max,
     regrid,
 )
-from .lattice import SphereSpec, digit_valuations, sphere_volume
+from .lattice import digit_valuations, sphere_volume
 from .padic import NEG_INF, PrimeContext, order_float
 
 T_ZERO = NEG_INF  # time label for t = 0: |t| = 0, every mode multiplier is 1
@@ -90,10 +90,6 @@ class PropagationMultiplier:
         if L == threshold + 1:
             return Fraction(-1, self.ctx.p - 1)
         return Fraction(0)
-
-
-def multiplier_value(K: int, L, N, ctx: PrimeContext) -> Fraction:
-    return PropagationMultiplier(ctx, K).value(L, N)
 
 
 def eigenfunction(
@@ -215,7 +211,7 @@ def kernel_ball_integral(
     k_inf = kernel_at_origin_limit(K, n, L, ctx)
     total += k_inf * Fraction(p) ** (n * deep)  # ball of radius p**deep, exactly
     for m in range(deep + 1, r + 1):
-        vol = sphere_volume(SphereSpec(ctx=ctx, n=n, radius_exp=m))
+        vol = sphere_volume(ctx, n, m)
         total += kernel_closed_form(K, n, L, m, ctx) * vol
     return total
 
@@ -287,9 +283,6 @@ class WaveProblem:
             )
         return cls(ctx=ctx, n=n, alpha=alpha, K=K, u0=u0)
 
-    def multiplier(self) -> PropagationMultiplier:
-        return PropagationMultiplier(self.ctx, self.K)
-
     @cached_property
     def averages(self) -> CosetAverages:
         """The coset averages of the data, built once per problem."""
@@ -315,7 +308,7 @@ def solve_averaging(prob: WaveProblem, L) -> SolutionSlice:
     """Slice at |t| = p**L: the data's coset averages weighted by b(L, .) sphere by sphere."""
     if L == T_ZERO:
         return SolutionSlice(L=L, field=prob.u0)
-    b = prob.multiplier()
+    b = PropagationMultiplier(prob.ctx, prob.K)
     return SolutionSlice(L=L, field=prob.averages.radial(lambda N: b.value(L, N)))
 
 
@@ -334,7 +327,7 @@ def solve_spectral(
 
     if u0_hat is None:
         u0_hat = spectral_data(prob)
-    b = prob.multiplier()
+    b = PropagationMultiplier(prob.ctx, prob.K)
     return SolutionSlice(L=L, field=inverse(multiply_radial(u0_hat, lambda N: b.value(L, N))))
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padicwave import cli, lattice
+from padicwave import acceptance, cli, lattice
 from padicwave.acceptance import CheckResult
 from padicwave.functions import (
     CosetFunction,
@@ -23,7 +23,7 @@ from padicwave.functions import (
     to_json_dict,
 )
 from padicwave.padic import PrimeContext
-from padicwave.solver import multiplier_value
+from padicwave.solver import PropagationMultiplier
 
 
 def read_table(path: Path) -> dict:
@@ -46,7 +46,7 @@ def test_solve_defaults_write_exact_slices(tmp_path, capsys):
     ctx = PrimeContext(2)
     for L in summary["sweep"]:
         sl = read_table(out / f"slice_L{L}.csv")
-        b = multiplier_value(1, L, 1, ctx)  # data sits on frequency sphere 1
+        b = PropagationMultiplier(ctx, 1).value(L, 1)  # data sits on frequency sphere 1
         assert set(sl) == set(u0)
         for key, v0 in u0.items():
             assert sl[key] == b * v0, (L, key)
@@ -186,11 +186,11 @@ def stub_results(ok: bool):
 
 def test_verify_exit_codes_with_stubbed_suite(monkeypatch, capsys):
     # the real suite runs for many seconds; wiring is what matters here
-    monkeypatch.setattr(cli, "run_all", lambda **kw: stub_results(True))
+    monkeypatch.setattr(acceptance, "run_all", lambda **kw: stub_results(True))
     assert cli.main(["verify"]) == 0
     assert "all 2 checks passed" in capsys.readouterr().out
 
-    monkeypatch.setattr(cli, "run_all", lambda **kw: stub_results(False))
+    monkeypatch.setattr(acceptance, "run_all", lambda **kw: stub_results(False))
     assert cli.main(["verify"]) == 1
     captured = capsys.readouterr()
     assert "FAILED: beta: broke" in captured.err
@@ -203,7 +203,7 @@ def test_verify_passes_tolerances_and_bracket_through(tmp_path, monkeypatch):
         seen.update(kw)
         return stub_results(True)
 
-    monkeypatch.setattr(cli, "run_all", spy)
+    monkeypatch.setattr(acceptance, "run_all", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"duality": 1e-8}, "seed": 7}))
     assert cli.main(["verify", "--config", str(cfg), "--inject-bracket", "floor"]) == 0
@@ -383,19 +383,20 @@ def _suite_must_not_run(**kw):
         (["eigen-check", "--p", "3", "--C", "1e308"], None),
         (["eigen-check", "--p", "3", "--N", "400"], None),
         (["eigen-check", "--alpha", "1e-320"], None),
+        (["kernel-table", "--n", "4000"], None),
     ],
     ids=[
         "verify-tol-nan", "verify-tol-negative", "verify-config-tol-negative",
         "eigen-check-tol-nan", "eigen-check-tol-negative", "kernel-table-n-negative",
         "kernel-table-n-zero", "eigen-check-float-C-huge", "eigen-check-eigenvalue-huge",
-        "eigen-check-alpha-tiny",
+        "eigen-check-alpha-tiny", "kernel-table-values-past-int-str-limit",
     ],
 )
 def test_bad_settings_of_every_command_exit_2(argv, doc, tmp_path, monkeypatch, capsys):
     # every command reads its shared settings through one parser each, and a
     # refusal comes before anything is computed or written
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_all", _suite_must_not_run)
+    monkeypatch.setattr(acceptance, "run_all", _suite_must_not_run)
     if doc is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         argv = [*argv, "--config", "cfg.json"]
@@ -403,6 +404,27 @@ def test_bad_settings_of_every_command_exit_2(argv, doc, tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "kernel-table.csv").exists()
+
+
+def _one_error_line_naming(path, capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err, err
+
+
+def test_solve_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert cli.main(["solve", "--out", str(taken)]) == 2
+    _one_error_line_naming(taken, capsys)
+    assert taken.read_text() == "kept\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["taken"]
+
+
+def test_kernel_table_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "k.csv"
+    assert cli.main(["kernel-table", "--out", str(out)]) == 2
+    _one_error_line_naming(out, capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_near_integer_exact_ratio_is_refused(tmp_path, capsys):
@@ -482,7 +504,7 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from padicwave import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(padicwave.__all__)
-    assert len(padicwave.__all__) == 68
+    assert len(padicwave.__all__) == 65
     assert padicwave.forward is fourier.forward
     with pytest.raises(AttributeError):
         padicwave.no_such_name

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from padicwave.errors import ConfigError
 from padicwave.fourier import forward, inverse, radial_inverse
 from padicwave.functions import (
+    COMPLEX,
     CosetFunction,
     ball_indicator,
     embed_radial,
@@ -23,7 +24,7 @@ from padicwave.functions import (
 )
 from padicwave.lattice import enumerate_cosets
 from padicwave.padic import PrimeContext, phase_to_complex, rational_fractional_part
-from padicwave.phases import PhaseSum, reduce_value, value_to_complex
+from padicwave.phases import PhaseSum
 from padicwave.solver import eigenfunction
 
 
@@ -154,7 +155,7 @@ def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:
     p = f.ctx.p
     out_grid = enumerate_cosets(f.ctx, f.resolution_exp, f.support_exp, f.n)
     vol = f.grid.coset_volume
-    exact = f.is_exact()
+    exact = f.kind != COMPLEX
     cache = {}
 
     def phase(xi, x):
@@ -177,11 +178,13 @@ def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:
                 for q, c in terms.items():
                     key = (q + ph) % 1
                     acc[key] = acc.get(key, Fraction(0)) + c
-            out_values.append(reduce_value(PhaseSum(p, acc).scaled(vol)))
+            total = PhaseSum(p, acc).scaled(vol)
+            rational = total.as_rational()
+            out_values.append(total if rational is None else rational)
         else:
             acc_c = 0j
             for x, val in f.items():
-                acc_c += value_to_complex(val) * phase_to_complex(phase(xi, x))
+                acc_c += val * phase_to_complex(phase(xi, x))
             out_values.append(acc_c * float(vol))
     return CosetFunction(out_grid, out_values)
 

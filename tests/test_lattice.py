@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from padicwave.errors import ConfigError, GridCapError
 from padicwave.lattice import (
-    BallSpec,
-    SphereSpec,
     ball_character_integral,
     ball_volume,
     enumerate_cosets,
@@ -22,31 +20,43 @@ from padicwave.phases import PhaseSum
 
 
 def test_ball_volumes():
-    assert ball_volume(BallSpec(PrimeContext(2), 1, 2)) == 4
-    assert ball_volume(BallSpec(PrimeContext(3), 2, 0)) == 1
-    assert ball_volume(BallSpec(PrimeContext(5), 1, -1)) == Fraction(1, 5)
+    assert ball_volume(PrimeContext(2), 1, 2) == 4
+    assert ball_volume(PrimeContext(3), 2, 0) == 1
+    assert ball_volume(PrimeContext(5), 1, -1) == Fraction(1, 5)
 
 
 def test_sphere_volumes():
-    assert sphere_volume(SphereSpec(PrimeContext(3), 1, 0)) == Fraction(2, 3)
-    assert sphere_volume(SphereSpec(PrimeContext(2), 1, 1)) == 1
-    assert sphere_volume(SphereSpec(PrimeContext(2), 2, 0)) == Fraction(3, 4)
+    assert sphere_volume(PrimeContext(3), 1, 0) == Fraction(2, 3)
+    assert sphere_volume(PrimeContext(2), 1, 1) == 1
+    assert sphere_volume(PrimeContext(2), 2, 0) == Fraction(3, 4)
 
 
 def test_ball_character_integral_values():
     ctx = PrimeContext(2)
-    assert ball_character_integral(BallSpec(ctx, 1, 0), (Fraction(1),)) == 1
-    assert ball_character_integral(BallSpec(ctx, 1, 0), (Fraction(1, 2),)) == 0
+    assert ball_character_integral(ctx, 1, 0, (Fraction(1),)) == 1
+    assert ball_character_integral(ctx, 1, 0, (Fraction(1, 2),)) == 0
     ctx3 = PrimeContext(3)
-    assert ball_character_integral(BallSpec(ctx3, 1, 2), (Fraction(0),)) == 9
+    assert ball_character_integral(ctx3, 1, 2, (Fraction(0),)) == 9
 
 
 def test_sphere_character_integral_values():
     ctx = PrimeContext(3)
-    sphere = SphereSpec(ctx, 1, 0)
-    assert sphere_character_integral(sphere, (Fraction(1),)) == Fraction(2, 3)
-    assert sphere_character_integral(sphere, (Fraction(1, 3),)) == Fraction(-1, 3)
-    assert sphere_character_integral(sphere, (Fraction(1, 9),)) == 0
+    assert sphere_character_integral(ctx, 1, 0, (Fraction(1),)) == Fraction(2, 3)
+    assert sphere_character_integral(ctx, 1, 0, (Fraction(1, 3),)) == Fraction(-1, 3)
+    assert sphere_character_integral(ctx, 1, 0, (Fraction(1, 9),)) == 0
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_volumes_and_character_integrals_refuse_dimension_below_one(n):
+    ctx = PrimeContext(2)
+    for call in (
+        lambda: ball_volume(ctx, n, 1),
+        lambda: sphere_volume(ctx, n, 1),
+        lambda: ball_character_integral(ctx, n, 1, ()),
+        lambda: sphere_character_integral(ctx, n, 1, ()),
+    ):
+        with pytest.raises(ConfigError, match="dimension must be >= 1"):
+            call()
 
 
 def _brute_ball_sum(ctx, gamma, xi):
@@ -75,8 +85,8 @@ def test_character_integrals_match_direct_sums(p, gamma, e, unit):
     ctx = PrimeContext(p)
     xi = Fraction(unit) * Fraction(p) ** (-e)
     brute_ball = _brute_ball_sum(ctx, gamma, xi)
-    assert ball_character_integral(BallSpec(ctx, 1, gamma), (xi,)) == brute_ball
-    want_sphere = sphere_character_integral(SphereSpec(ctx, 1, gamma), (xi,))
+    assert ball_character_integral(ctx, 1, gamma, (xi,)) == brute_ball
+    want_sphere = sphere_character_integral(ctx, 1, gamma, (xi,))
     assert want_sphere == brute_ball - _brute_ball_sum(ctx, gamma - 1, xi)
 
 

@@ -23,7 +23,6 @@ from padicwave.lattice import (
     vector_norm_exponent,
 )
 from padicwave.padic import NEG_INF, PrimeContext
-from padicwave.phases import reduce_value, value_add, value_scale
 from padicwave.solver import (
     PropagationMultiplier,
     WaveProblem,
@@ -38,6 +37,22 @@ from padicwave.vladimirov import (
     apply_hypersingular,
     apply_hypersingular_field,
 )
+
+
+def _add(a, b):
+    """a + b: exact for two rationals, else in complex arithmetic."""
+    if isinstance(a, complex) or isinstance(b, complex):
+        return complex(a) + complex(b)
+    return a + b
+
+
+def _scale(v, s):
+    """v * s: exact for a rational v and a rational s, else in complex arithmetic."""
+    if isinstance(s, float):
+        return complex(v) * complex(s)
+    if isinstance(v, complex):
+        return v * float(s)
+    return v * s
 
 
 def reference_kernel_oracle(K, n, L, M, ctx):
@@ -69,15 +84,15 @@ def reference_convolution(prob, L):
     items = list(f.items())
     values = []
     for x, fx in items:
-        acc = value_scale(fx, diag_mass)
+        acc = _scale(fx, diag_mass)
         for y, fy in items:
             if y == x:
                 continue
             e = vector_norm_exponent(tuple(a - b for a, b in zip(x, y)), ctx.p)
             w = k_at(int(e)) * coset_vol
             if w:
-                acc = value_add(acc, value_scale(fy, w))
-        values.append(reduce_value(acc))
+                acc = _add(acc, _scale(fy, w))
+        values.append(acc)
     return values
 
 
@@ -105,8 +120,8 @@ def reference_hypersingular(params, f, x, background=Fraction(0)):
             shell_w = shell_w * float(p) ** (-gamma * n) * float(coset_vol)
         for yrep in sphere_representatives(ctx, gamma, ell, n):
             fy = _evaluate_extended(f, tuple(a - b for a, b in zip(vec, yrep)), background)
-            diff = value_add(fy, value_scale(fx, -1))
-            total = value_add(total, value_scale(diff, shell_w))
+            diff = _add(fy, _scale(fx, -1))
+            total = _add(total, _scale(diff, shell_w))
     a = params.power_of_p(-(gamma_top + 1))
     if isinstance(a, Fraction):
         tail_sum = a / (1 - params.power_of_p(-1))
@@ -114,9 +129,9 @@ def reference_hypersingular(params, f, x, background=Fraction(0)):
     else:
         tail_sum = a / (1.0 - params.power_of_p(-1))
         tail_w = (1.0 - float(p) ** (-n)) * tail_sum
-    diff = value_add(background, value_scale(fx, -1))
-    total = value_add(total, value_scale(diff, tail_w))
-    return reduce_value(value_scale(total, params.prefactor()))
+    diff = _add(background, _scale(fx, -1))
+    total = _add(total, _scale(diff, tail_w))
+    return _scale(total, params.prefactor())
 
 
 def assert_same(got, want):

@@ -6,15 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padicwave.errors import ConfigError
-from padicwave.phases import (
-    PhaseSum,
-    is_exact_value,
-    reduce_value,
-    value_add,
-    value_scale,
-    value_to_complex,
-    values_equal,
-)
+from padicwave.phases import PhaseSum
 
 
 def test_sum_of_conjugate_cube_roots_is_rational():
@@ -105,23 +97,6 @@ def test_shift_by_half_negates(coeffs):
     assert cmath.isclose(
         s.shifted(Fraction(1, 2)).to_complex(), -s.to_complex(), abs_tol=1e-9
     )
-
-
-def test_value_helpers_stay_exact_on_exact_inputs():
-    a = Fraction(2, 3)
-    b = PhaseSum(2, {Fraction(1, 2): Fraction(1)})  # equals -1
-    total = value_add(a, b)
-    assert is_exact_value(total)
-    assert values_equal(total, Fraction(-1, 3))
-    assert reduce_value(total) == Fraction(-1, 3)
-    scaled = value_scale(total, Fraction(3))
-    assert values_equal(scaled, Fraction(-1))
-
-
-def test_value_helpers_degrade_to_complex_on_float_input():
-    out = value_add(Fraction(1, 2), 0.25 + 0j)
-    assert not is_exact_value(out)
-    assert cmath.isclose(value_to_complex(out), 0.75)
 
 
 def test_equality_against_plain_numbers():

@@ -10,6 +10,7 @@ from padicwave.errors import (
 )
 from padicwave.fourier import forward
 from padicwave.functions import (
+    COMPLEX,
     CosetFunction,
     ball_indicator,
     embed_radial,
@@ -19,16 +20,11 @@ from padicwave.functions import (
     sphere_indicator,
     translate,
 )
-from padicwave.lattice import (
-    SphereSpec,
-    enumerate_cosets,
-    sphere_volume,
-    vector_norm_exponent,
-)
+from padicwave.lattice import enumerate_cosets, sphere_volume, vector_norm_exponent
 from padicwave.padic import NEG_INF, PrimeContext
-from padicwave.phases import is_exact_value, value_to_complex, values_equal
 from padicwave.solver import (
     T_ZERO,
+    PropagationMultiplier,
     WaveProblem,
     auto_time_sweep,
     dependence_check,
@@ -38,7 +34,6 @@ from padicwave.solver import (
     kernel_closed_form,
     kernel_oracle,
     l1_bound_check,
-    multiplier_value,
     solve_averaging,
     solve_convolution,
     solve_spectral,
@@ -58,17 +53,17 @@ def eigen_data(ctx, N, C, K):
 
 def test_multiplier_frozen_values():
     ctx2, ctx3 = PrimeContext(2), PrimeContext(3)
-    assert multiplier_value(1, 0, 0, ctx2) == 1
-    assert multiplier_value(1, 1, 0, ctx3) == Fraction(-1, 2)
-    assert multiplier_value(2, -2, 1, ctx2) == 1
-    assert multiplier_value(1, 2, 0, ctx2) == 0
-    assert multiplier_value(3, -5, 2, ctx2) == Fraction(-1, 1)  # L = -KN+1, p = 2
+    assert PropagationMultiplier(ctx2, 1).value(0, 0) == 1
+    assert PropagationMultiplier(ctx3, 1).value(1, 0) == Fraction(-1, 2)
+    assert PropagationMultiplier(ctx2, 2).value(-2, 1) == 1
+    assert PropagationMultiplier(ctx2, 1).value(2, 0) == 0
+    assert PropagationMultiplier(ctx2, 3).value(-5, 2) == Fraction(-1, 1)  # L = -KN+1, p = 2
 
 
 def test_multiplier_time_zero_and_origin_mode():
     ctx = PrimeContext(5)
-    assert multiplier_value(2, T_ZERO, 7, ctx) == 1
-    assert multiplier_value(2, 3, NEG_INF, ctx) == 1
+    assert PropagationMultiplier(ctx, 2).value(T_ZERO, 7) == 1
+    assert PropagationMultiplier(ctx, 2).value(3, NEG_INF) == 1
 
 
 # -- eigenfunctions -----------------------------------------------------------
@@ -152,7 +147,7 @@ def test_kernel_ball_integral_telescopes():
             step = kernel_ball_integral(K, n, L, r, ctx) - kernel_ball_integral(
                 K, n, L, r - 1, ctx
             )
-            vol = sphere_volume(SphereSpec(ctx=ctx, n=n, radius_exp=r))
+            vol = sphere_volume(ctx, n, r)
             assert step == kernel_closed_form(K, n, L, r, ctx) * vol, (K, n, L, r)
 
 
@@ -182,7 +177,7 @@ def test_slices_of_one_mode_scale_by_the_multiplier():
     u0 = eigen_data(ctx, N, C, K)
     prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=K, u0=u0)
     for L in auto_time_sweep(prob):
-        b = multiplier_value(K, L, K * N, ctx)  # frequency sphere exponent K*N
+        b = PropagationMultiplier(ctx, K).value(L, K * N)  # frequency sphere exponent K*N
         want = scale(u0, b)
         assert equal_exact(solve_spectral(prob, L).field, want)
         assert equal_exact(solve_convolution(prob, L).field, want)
@@ -273,7 +268,7 @@ def test_time_profile_tracks_the_multiplier():
     ux = u0.values[u0.grid.position(x)]
     assert profile.value_at_exponent(NEG_INF) == ux
     for L in range(-6, 3):
-        want = multiplier_value(K, L, K * N, ctx) * ux
+        want = PropagationMultiplier(ctx, K).value(L, K * N) * ux
         assert profile.value_at_exponent(L) == want, L
     assert profile.integrate(1) == 0
 
@@ -342,14 +337,12 @@ def _labels(prob):
 def _transform_sweep(prob):
     """The sweep rule read off the exact transform: spheres where it is nonzero."""
     u0_hat = forward(prob.u0)
-    scale_ = max(abs(value_to_complex(v)) for _, v in u0_hat.items())
-    tol = 1e-12 * max(1.0, scale_)
+    values = u0_hat.complex_values()
+    tol = 1e-12 * max(1.0, max(map(abs, values)))
+    exact = u0_hat.kind != COMPLEX
     exps = set()
-    for rep, v in u0_hat.items():
-        if is_exact_value(v):
-            nonzero = not values_equal(v, Fraction(0))
-        else:
-            nonzero = abs(value_to_complex(v)) > tol
+    for rep, v, c in zip(u0_hat.grid.representatives, u0_hat.values, values):
+        nonzero = v != 0 if exact else abs(c) > tol
         e = vector_norm_exponent(rep, prob.ctx.p)
         if nonzero and e != NEG_INF:
             exps.add(int(e))

@@ -17,7 +17,7 @@ from padicwave.functions import (
 )
 from padicwave.lattice import enumerate_cosets, vector_norm_exponent
 from padicwave.padic import PrimeContext
-from padicwave.phases import value_scale
+from padicwave.phases import PhaseSum
 from padicwave.solver import eigenfunction
 from padicwave.vladimirov import (
     OperatorParams,
@@ -137,10 +137,11 @@ def test_duality_against_brute_multiplier():
     fhat = forward(f)
     rhs_values = []
     for rep, v in fhat.items():
-        e = vector_norm_exponent(rep, ctx.p)
-        rhs_values.append(
-            Fraction(0) if not any(rep) else value_scale(v, params.power_of_p(e))
-        )
+        if not any(rep):
+            rhs_values.append(Fraction(0))
+            continue
+        w = params.power_of_p(vector_norm_exponent(rep, ctx.p))
+        rhs_values.append(v.scaled(w) if isinstance(v, PhaseSum) else v * w)
     rhs = CosetFunction(fhat.grid, rhs_values)
     # phase sums built along two different routes: equal as numbers only
     assert max_abs_diff(lhs, rhs) <= 1e-12
