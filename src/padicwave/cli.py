@@ -19,7 +19,6 @@ numerator/denominator strings.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -151,14 +150,14 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _exact_columns(num: int, den: int) -> tuple:
-    """(re, im, num, den) for num/den; int true division rounds as float(Fraction) does."""
+def _exact_columns(num: int, den: int) -> str:
+    """'re,im,num,den' for num/den; int true division rounds as float(Fraction) does."""
     g = math.gcd(num, den)
-    return (_fmt_float(num / den), "0", str(num // g), str(den // g))
+    return f"{_fmt_float(num / den)},0,{num // g},{den // g}"
 
 
-def _complex_columns(c: complex) -> tuple:
-    return (_fmt_float(c.real), _fmt_float(c.imag), "", "")
+def _complex_columns(c: complex) -> str:
+    return f"{_fmt_float(c.real)},{_fmt_float(c.imag)},,"
 
 
 def _read_config(path: str | None) -> dict:
@@ -287,32 +286,42 @@ def _build_problem(cfg: dict) -> WaveProblem:
     return WaveProblem(ctx=ctx, n=cfg["n"], alpha=cfg["alpha"], K=cfg["K"], u0=u0)
 
 
-def _write_slice_csv(path: Path, field: CosetFunction) -> None:
-    """One row per coset, in grid order: its coordinates and its value.
+def _open_output(path: Path):
+    """path opened for writing text; one that cannot be opened is a ConfigError naming it."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:  # a missing directory, a directory of that name, or no permission
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
-    Each of the p**(M + ell) distinct coordinate strings is rendered once.
-    """
+
+def _write_csv(path: Path, header, lines) -> None:
+    """The header and each line, as the csv module's writer would write them: no field the
+    commands write holds a comma, a quote or a line break, or stands alone empty."""
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_slice_csv(path: Path, field: CosetFunction) -> None:
+    """One row per coset, in grid order: its coordinates and its value, with each
+    distinct coordinate and each distinct numerator rendered once per file."""
     if field.kind == RATIONAL:
-        columns = (_exact_columns(num, field.den) for num in field.cells)
+        rendered = {num: _exact_columns(num, field.den) for num in set(field.cells)}
+        columns = map(rendered.__getitem__, field.cells)
     else:
         columns = map(_complex_columns, field.complex_values())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"x{i}" for i in range(field.n)] + ["re", "im", "num", "den"])
-        for xs, cols in zip(field.grid.coordinates(str), columns):
-            w.writerow(xs + cols)
+    header = [f"x{i}" for i in range(field.n)] + ["re", "im", "num", "den"]
+    rows = zip(field.grid.coordinates(str), columns)
+    _write_csv(path, header, (f"{','.join(xs)},{cols}" for xs, cols in rows))
 
 
 def _write_profile_csv(path: Path, profile) -> None:
-    def columns(v) -> list:
+    def columns(v) -> str:
         return _exact_columns(*v.as_integer_ratio()) if profile.exact else _complex_columns(v)
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["kind", "t_exp", "re", "im", "num", "den"])
-        w.writerow(("core", "") + columns(profile.core_value))
-        for offset, v in enumerate(profile.shells):
-            w.writerow(("shell", str(profile.shell_lo + offset)) + columns(v))
+    shells = (f"shell,{profile.shell_lo + i},{columns(v)}" for i, v in enumerate(profile.shells))
+    _write_csv(path, ["kind", "t_exp", "re", "im", "num", "den"],
+               [f"core,,{columns(profile.core_value)}", *shells])
 
 
 def _digits(L: int) -> int:
@@ -350,6 +359,10 @@ def _time_labels(prob: WaveProblem, cfg: dict) -> list:
 def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     prob = _build_problem(cfg)
     sweep = _time_labels(prob, cfg)
+    points = [tuple(map(_parse_number, text.split(","))) for text in cfg["profile_points"]]
+    for text, x in zip(cfg["profile_points"], points):
+        if len(x) != prob.n:
+            raise ConfigError(f"profile point {text!r} has {len(x)} coordinates, need {prob.n}")
     out = Path(cfg["output"])
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -365,13 +378,9 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
         l1_ratios[str(L)] = rep.ratio
         bound = rep.bound
     profiles = []
-    for i, text in enumerate(cfg["profile_points"]):
-        x = tuple(_parse_number(s) for s in text.split(","))
-        if len(x) != prob.n:
-            raise ConfigError(f"profile point {text!r} has {len(x)} coordinates, need {prob.n}")
-        profile = time_profile(prob, x)
+    for i, (text, x) in enumerate(zip(cfg["profile_points"], points)):
         name = f"profile_{i}.csv"
-        _write_profile_csv(out / name, profile)
+        _write_profile_csv(out / name, time_profile(prob, x))
         profiles.append({"point": text, "file": name})
     summary = {
         "p": prob.ctx.p,
@@ -387,7 +396,7 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
         "l1_bound": _fmt_float(bound) if bound is not None else None,
         "profiles": profiles,
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+    with _open_output(out / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(sweep)} slices to {out}")
@@ -424,32 +433,20 @@ def cmd_kernel_table(cfg: dict, args: argparse.Namespace) -> int:
     p, n, K = cfg["p"], cfg["n"], cfg["K"]
     ctx = PrimeContext(p)
     _refuse_large_kernel_values(p, n, K, args)
+    rows, mismatches = [], 0
+    for L in range(args.L_min, args.L_max + 1):
+        for M in range(args.M_min, args.M_max + 1):
+            closed = kernel_closed_form(K, n, L, M, ctx, bracket=args.bracket)
+            oracle = kernel_oracle(K, n, L, M, ctx)
+            equal = closed == oracle
+            mismatches += 0 if equal else 1
+            rows.append(f"{p},{n},{K},{L},{M},{closed.numerator},{closed.denominator},"
+                        f"{oracle.numerator},{oracle.denominator},{'true' if equal else 'false'}")
     out = Path(args.out or "kernel-table.csv")
     if out.is_dir():
         out = out / "kernel-table.csv"
-    try:
-        fh = open(out, "w", newline="", encoding="utf-8")
-    except OSError as exc:  # a missing directory, or one that may not be written
-        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
-    mismatches = 0
-    with fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["p", "n", "K", "L", "M",
-             "closed_num", "closed_den", "oracle_num", "oracle_den", "equal"]
-        )
-        for L in range(args.L_min, args.L_max + 1):
-            for M in range(args.M_min, args.M_max + 1):
-                closed = kernel_closed_form(K, n, L, M, ctx, bracket=args.bracket)
-                oracle = kernel_oracle(K, n, L, M, ctx)
-                equal = closed == oracle
-                mismatches += 0 if equal else 1
-                w.writerow(
-                    [p, n, K, L, M,
-                     closed.numerator, closed.denominator,
-                     oracle.numerator, oracle.denominator,
-                     "true" if equal else "false"]
-                )
+    _write_csv(out, ["p", "n", "K", "L", "M", "closed_num", "closed_den",
+                     "oracle_num", "oracle_den", "equal"], rows)
     print(f"wrote {out} ({mismatches} mismatching rows)")
     return EXIT_OK if mismatches == 0 else EXIT_VERIFY_FAILED
 

@@ -311,6 +311,8 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"p": 3, "u0_spec": "TABLE:duplicate"}, []),
         ({"profile_points": ["1e400"]}, []),
         ({"profile_points": ["nan"]}, []),
+        ({"profile_points": ["1,2"]}, []),
+        ({"profile_points": ["1/0"]}, []),
         ({"alpha": "inf"}, []),
         ({"p": 2.5}, []),
         ({"n": True}, []),
@@ -338,7 +340,7 @@ def _broken_table(path: Path, edit: str) -> Path:
     ids=[
         "p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry",
         "table-digit", "table-digit-count", "table-coordinates", "table-duplicate",
-        "profile-overflow", "profile-nan", "alpha-inf", "p-fractional", "n-bool",
+        "profile-overflow", "profile-nan", "profile-length", "profile-zero-division", "alpha-inf", "p-fractional", "n-bool",
         "p-overflow", "n-overflow", "K-overflow", "seed-overflow", "sweep-overflow",
         "tolerance-overflow", "table-directory", "table-not-json",
         "alpha-overflow", "beta-overflow", "sphere-indicator-huge", "sphere-indicator-tiny",
@@ -364,6 +366,7 @@ def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()  # refused before anything is written
 
 
 def _suite_must_not_run(**kw):
@@ -425,6 +428,51 @@ def test_kernel_table_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     assert cli.main(["kernel-table", "--out", str(out)]) == 2
     _one_error_line_naming(out, capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["u0.csv", "slice_L0.csv", "summary.json"])
+def test_solve_output_file_that_cannot_be_opened_exits_2(name, tmp_path, capsys):
+    taken = tmp_path / name
+    taken.mkdir()  # the default sweep writes slices L = -2 .. 1
+    assert cli.main(["solve", "--out", str(tmp_path)]) == 2
+    _one_error_line_naming(taken, capsys)
+
+
+def test_kernel_table_default_matches_golden(tmp_path):
+    out = tmp_path / "k.csv"
+    assert cli.main(["kernel-table", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "kernel-table-default.csv").read_bytes()
+
+
+# every kind of field the commands write: floats as _fmt_float renders them,
+# ints of up to the 4,300 digits Python converts to text, str(Fraction)
+# coordinates (never negative), the empty num/den of a complex value, and the
+# fixed words of the headers and rows
+_CSV_FIELDS = (
+    st.floats().map(cli._fmt_float)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]).map(cli._fmt_float)
+    | st.integers(-(10**4300) + 1, 10**4300 - 1).map(str)
+    | st.just("")
+    | st.fractions(min_value=0).map(str)
+    | st.integers(0, 10).map("x{}".format)
+    | st.sampled_from(
+        ["re", "im", "num", "den", "kind", "t_exp", "core", "shell", "p", "n", "K", "L", "M",
+         "closed_num", "closed_den", "oracle_num", "oracle_den", "equal", "true", "false"]
+    )
+)
+# every row the commands write has at least two fields (csv.writer quotes a
+# row that is one empty field)
+_CSV_ROWS = st.lists(_CSV_FIELDS, min_size=2, max_size=8)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=_CSV_ROWS, rows=st.lists(_CSV_ROWS, max_size=5))
+def test_write_csv_writes_the_bytes_csv_writer_writes(header, rows, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_csv(got, header, (",".join(row) for row in rows))
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_near_integer_exact_ratio_is_refused(tmp_path, capsys):
