@@ -516,7 +516,7 @@ def check_l1_bound(seed: int = DEFAULT_SEED) -> CheckResult:
     slices = 0
     for prob in _duality_problems(seed):
         for L in auto_time_sweep(prob):
-            rep = l1_bound_check(prob, L, solve_averaging(prob, L))
+            rep = l1_bound_check(prob, solve_averaging(prob, L).field)
             worst_ratio = max(worst_ratio, rep.ratio)
             if not rep.passed:
                 return CheckResult(

@@ -368,13 +368,19 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file of that name, or a parent that is a file
         raise ConfigError(f"cannot make the output directory {out}: {exc.strerror}") from exc
+    # refused before the first write, so a run that cannot write one file writes none
+    names = ["u0.csv", *(f"slice_L{L}.csv" for L in sweep),
+             *(f"profile_{i}.csv" for i in range(len(points))), "summary.json"]
+    taken = next((out / name for name in names if (out / name).is_dir()), None)
+    if taken is not None:
+        raise ConfigError(f"cannot write {taken}: Is a directory")
     _write_slice_csv(out / "u0.csv", prob.u0)
     l1_ratios = {}
     bound = None
     for L in sweep:
         sl = solve_averaging(prob, L)
         _write_slice_csv(out / f"slice_L{L}.csv", sl.field)
-        rep = l1_bound_check(prob, L, sl)
+        rep = l1_bound_check(prob, sl.field)
         l1_ratios[str(L)] = rep.ratio
         bound = rep.bound
     profiles = []

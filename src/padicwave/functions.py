@@ -409,17 +409,6 @@ class RadialShellFunction:
             return Fraction(0)
         return self.shells[int(gamma) - self.shell_lo]
 
-    def scaled(self, c) -> "RadialShellFunction":
-        values = (self.core_value, *self.shells)
-        if self.exact and isinstance(c, (int, Fraction)):
-            values = [v * c for v in values]
-        elif self.exact and isinstance(c, float):  # real values stay real: imaginary part +0.0
-            values = [complex(float(v) * c) for v in values]
-        else:
-            c = float(c) if isinstance(c, (int, Fraction)) else complex(c)
-            values = [complex(v) * c for v in values]
-        return RadialShellFunction(self.ctx, values[0], values[1:], self.shell_lo)
-
     def normalize(self) -> "RadialShellFunction":
         """Trim zero top shells; absorb bottom shells equal to the core."""
         shells = list(self.shells)
@@ -449,17 +438,16 @@ class RadialShellFunction:
         return sum(map(abs, self._masses(n)))
 
 
-def radial_profile(f: CosetFunction, tol: float | None = None) -> RadialShellFunction:
+def radial_profile(f: CosetFunction) -> RadialShellFunction:
     """Collapse a radial table to shell values.
 
     Raises NonRadialError, naming two witnesses, if any norm shell carries
     two distinct values.  A rational table's values must match exactly;
-    complex values may differ by tol (default 1e-12 scaled by the largest
-    magnitude).
+    complex values may differ by 1e-12 times max(1, the largest magnitude).
     """
     rational = f.kind == RATIONAL
     cells = f.cells if rational else f.complex_values()
-    if tol is None and not rational:
+    if not rational:
         tol = RADIAL_FLOAT_TOL * max(1.0, max(map(abs, cells)))
     first: dict = {}  # norm exponent (-inf at the origin) -> its first coset
     for i, (key, v) in enumerate(zip(f.grid.norm_exponents, cells)):

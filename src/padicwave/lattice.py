@@ -209,16 +209,6 @@ def sphere_character_integral(ctx: PrimeContext, n: int, radius_exp: int, xi) ->
     return Fraction(0)
 
 
-def grid_cardinality(ctx: PrimeContext, support_exp: int, resolution_exp: int, n: int) -> int:
-    width = support_exp + resolution_exp
-    if width < 0:
-        raise ConfigError(
-            f"support exponent {support_exp} below resolution exponent "
-            f"{-resolution_exp}: empty digit window"
-        )
-    return ctx.p ** (n * width)
-
-
 def enumerate_cosets(
     ctx: PrimeContext, support_exp: int, resolution_exp: int, n: int = 1
 ) -> CosetGrid:
@@ -229,10 +219,15 @@ def enumerate_cosets(
     past the cap is judged on its logarithm, so it is never built.
     """
     _require_dimension(n)
+    if support_exp + resolution_exp < 0:
+        raise ConfigError(
+            f"support exponent {support_exp} below resolution exponent "
+            f"{-resolution_exp}: empty digit window"
+        )
     cap = grid_cap()
     power = n * (support_exp + resolution_exp)
     far = power * math.log2(ctx.p) > cap.bit_length() + 1
-    count = None if far else grid_cardinality(ctx, support_exp, resolution_exp, n)
+    count = None if far else ctx.p**power
     if far or count > cap:
         shown = f"{ctx.p}**{power}" + ("" if far else f" = {count}")
         raise GridCapError(f"coset grid would hold {shown} points, above the cap of {cap}")

@@ -57,12 +57,6 @@ class PhaseSum:
             return PhaseSum(self.p)
         return PhaseSum(self.p, {q: v * c for q, v in self.terms.items()})
 
-    def shifted(self, delta: Fraction) -> "PhaseSum":
-        """Multiply by the pure phase exp(2*pi*i*delta)."""
-        if delta % 1 == 0:
-            return self
-        return PhaseSum(self.p, {(q + delta) % 1: v for q, v in self.terms.items()})
-
     def to_complex(self) -> complex:
         return sum(
             (float(c) * phase_to_complex(q) for q, c in self.terms.items()),
@@ -103,9 +97,7 @@ class PhaseSum:
 
 def _check_phase(phase: Fraction, p: int) -> None:
     den = phase.denominator
-    while den % p == 0:
-        den //= p
-    if den != 1:
+    if p ** _p_power_exponent(den, p) != den:
         raise ConfigError(f"phase {phase} is not over a power of {p}")
 
 
@@ -141,19 +133,6 @@ def rational_value(coeffs: dict, big_q: int, p: int):
     for a, c in coeffs.items():
         parts[a % p][a // p] = c
     for r in range(1, p):
-        if not _is_zero(parts[r], smaller, p):
+        if rational_value(parts[r], smaller, p) != 0:
             return None
     return rational_value(parts[0], smaller, p)
-
-
-def _is_zero(coeffs: dict[int, Fraction], big_q: int, p: int) -> bool:
-    if big_q == 1:
-        return coeffs.get(0, _ZERO) == 0
-    if big_q == p:
-        first = coeffs.get(0, _ZERO)
-        return all(coeffs.get(r, _ZERO) == first for r in range(1, p))
-    smaller = big_q // p
-    parts: list[dict[int, Fraction]] = [{} for _ in range(p)]
-    for a, c in coeffs.items():
-        parts[a % p][a // p] = c
-    return all(_is_zero(part, smaller, p) for part in parts)

@@ -107,8 +107,8 @@ def eigenfunction(
     core = (1 - p ** (-n)) * p ** (K * N * n)
     shell = -(p ** ((K * N - 1) * n))
     return RadialShellFunction(
-        ctx=ctx, core_value=core, shells=(shell,), shell_lo=-K * N + 1
-    ).scaled(C)
+        ctx=ctx, core_value=core * C, shells=(shell * C,), shell_lo=-K * N + 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +182,6 @@ def kernel_oracle(K: int, n: int, L: int, M: int, ctx: PrimeContext) -> Fraction
     return Fraction(num * q**-M, den)
 
 
-def kernel_at_origin_limit(K: int, n: int, L: int, ctx: PrimeContext) -> Fraction:
-    """The constant kernel value on all spheres deep inside the front.
-
-    For M <= floor((L-2)/K) the closed form is independent of M; this is
-    that shared value.
-    """
-    return kernel_closed_form(K, n, L, (L - 2) // K, ctx)
-
-
 def kernel_ball_integral(
     K: int, n: int, L: int, radius_exp: int, ctx: PrimeContext
 ) -> Fraction:
@@ -199,16 +190,16 @@ def kernel_ball_integral(
     Needed for the convolution path: the coset containing y = x must
     contribute the kernel's true mass over that coset, not a sampled value
     (the kernel is unbounded near 0 for L < 0 and sampling at the
-    representative is simply wrong there).  Spheres deep inside the front
-    carry the constant ``kernel_at_origin_limit`` value, so their infinite
-    sum collapses to that constant times a ball volume.
+    representative is simply wrong there).  The closed form does not depend
+    on M for M <= (L - 2)//K, so the spheres deep inside the front carry one
+    constant value and their infinite sum collapses to it times a ball volume.
     """
     p = ctx.p
     m_const = (L - 2) // K  # kernel constant on spheres with M <= this
     r = radius_exp
     total = Fraction(0)
     deep = min(r, m_const)
-    k_inf = kernel_at_origin_limit(K, n, L, ctx)
+    k_inf = kernel_closed_form(K, n, L, m_const, ctx)
     total += k_inf * Fraction(p) ** (n * deep)  # ball of radius p**deep, exactly
     for m in range(deep + 1, r + 1):
         vol = sphere_volume(ctx, n, m)
@@ -414,24 +405,22 @@ def auto_time_sweep(prob: WaveProblem) -> range:
 class DependenceReport:
     """Outcome of the finite-speed-of-support check for one data ball; treat as immutable."""
 
-    __slots__ = ("N", "data_confined", "swept", "max_leak", "passed")
+    __slots__ = ("data_confined", "swept", "max_leak", "passed")
 
-    def __init__(self, N: int, data_confined: bool, swept: tuple, max_leak: float, passed: bool):
-        self.N = N
+    def __init__(self, data_confined: bool, swept: tuple, max_leak: float, passed: bool):
         self.data_confined = data_confined
         self.swept = swept
         self.max_leak = max_leak
         self.passed = passed
 
 
-def dependence_check(
-    prob: WaveProblem, N: int, pad: int = 2, tol: float = 1e-12
-) -> DependenceReport:
+def dependence_check(prob: WaveProblem, N: int, tol: float = 1e-12) -> DependenceReport:
     """Verify slices of data supported in |x| <= p**N stay in that ball.
 
     Zero-mean data makes the kernel tail outside the data ball integrate to
     zero, so every slice is again supported in the ball; we widen the grid
-    by ``pad`` so there is room outside to observe a leak if one existed.
+    by two support exponents so there is room outside to observe a leak if
+    one existed.
     """
 
     def outside(f: CosetFunction):
@@ -439,14 +428,13 @@ def dependence_check(
         return [abs(c) for e, c in zip(f.grid.norm_exponents, f.complex_values()) if e > N]
 
     confined = nan_max(outside(prob.u0)) <= tol
-    wide = regrid(prob.u0, prob.u0.support_exp + pad, prob.u0.resolution_exp)
+    wide = regrid(prob.u0, prob.u0.support_exp + 2, prob.u0.resolution_exp)
     wide_prob = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=prob.alpha, K=prob.K, u0=wide)
     sweep = auto_time_sweep(wide_prob)
     L_top = prob.K * (N - 1)
     labels = sorted(set(lab for lab in sweep if lab <= L_top) | {L_top, L_top - 1})
     max_leak = nan_max(c for L in labels for c in outside(solve_averaging(wide_prob, L).field))
     return DependenceReport(
-        N=N,
         data_confined=confined,
         swept=tuple(labels),
         max_leak=max_leak,
@@ -457,43 +445,39 @@ def dependence_check(
 class StabilityReport:
     """L1 growth of one slice against the universal bound; treat as immutable."""
 
-    __slots__ = ("L", "ratio", "bound", "passed")
+    __slots__ = ("ratio", "bound", "passed")
 
-    def __init__(self, L, ratio: float, bound: float, passed: bool):
-        self.L = L
+    def __init__(self, ratio: float, bound: float, passed: bool):
         self.ratio = ratio
         self.bound = bound
         self.passed = passed
 
 
-def l1_bound_check(prob: WaveProblem, L, slice_: SolutionSlice | None = None) -> StabilityReport:
+def l1_bound_check(prob: WaveProblem, field: CosetFunction) -> StabilityReport:
     """Check ||u(t)||_1 <= p**(2*n*gamma) * ||u0||_1 with gamma = max(1, ceil(2/K)).
 
-    The kernel's L1 mass on any slice is bounded by a constant depending
-    only on (p, n, K); this is the crude but universal version of that
-    bound, and every slice must respect it.
+    ``field`` is one slice of the problem.  The kernel's L1 mass on any
+    slice is bounded by a constant depending only on (p, n, K); this is the
+    crude but universal version of that bound, and every slice must respect it.
     """
-    if slice_ is None:
-        slice_ = solve_averaging(prob, L)
     gamma = max(1, _ceil_div(2, prob.K))
     bound = float(prob.ctx.p) ** (2 * prob.n * gamma)
     base = prob.u0_l1
-    grown = l1_norm(slice_.field)
+    grown = l1_norm(field)
     base_f, grown_f = float(base), float(grown)
     if base_f == 0.0:
         ratio = 0.0 if grown_f == 0.0 else math.inf
     else:
         ratio = grown_f / base_f
-    return StabilityReport(L=L, ratio=ratio, bound=bound, passed=ratio <= bound * (1 + 1e-12))
+    return StabilityReport(ratio=ratio, bound=bound, passed=ratio <= bound * (1 + 1e-12))
 
 
 class UniquenessReport:
     """Zero data's largest value over every route and time; treat as immutable."""
 
-    __slots__ = ("swept", "max_abs", "passed")
+    __slots__ = ("max_abs", "passed")
 
-    def __init__(self, swept: tuple, max_abs: float, passed: bool):
-        self.swept = swept
+    def __init__(self, max_abs: float, passed: bool):
         self.max_abs = max_abs
         self.passed = passed
 
@@ -503,15 +487,15 @@ def uniqueness_smoke(prob: WaveProblem, labels=None) -> UniquenessReport:
     if float(prob.u0_l1) != 0.0:
         raise ConfigError("uniqueness smoke test needs identically zero data")
     if labels is None:
-        labels = list(auto_time_sweep(prob)) or [-1, 0, 1]
+        labels = auto_time_sweep(prob)
     routes = (solve_averaging, solve_spectral, solve_convolution)
     worst = nan_max(
         abs(c) for L in labels for route in routes for c in route(prob, L).field.complex_values()
     )
-    return UniquenessReport(swept=tuple(labels), max_abs=worst, passed=worst <= 1e-12)
+    return UniquenessReport(max_abs=worst, passed=worst <= 1e-12)
 
 
-def time_profile(prob: WaveProblem, x, phi_tol: float = PHI_TOL) -> RadialShellFunction:
+def time_profile(prob: WaveProblem, x) -> RadialShellFunction:
     """u(t, x) as a radial function of t, for fixed x.
 
     Below the sweep window every multiplier equals 1, so the profile's core
@@ -529,7 +513,7 @@ def time_profile(prob: WaveProblem, x, phi_tol: float = PHI_TOL) -> RadialShellF
     if profile.exact:
         bad = total != 0
     else:
-        bad = abs(total) > phi_tol * max(1.0, float(profile.l1_norm(1)))
+        bad = abs(total) > PHI_TOL * max(1.0, float(profile.l1_norm(1)))
     if bad:
         raise LizorkinError(
             f"time profile at x = {x} fails the zero-mean check: integral = "

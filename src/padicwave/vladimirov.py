@@ -81,9 +81,7 @@ class OperatorParams:
         return (1.0 - float(p) ** af) / (1.0 - float(p) ** (-af - n))
 
 
-def apply_spectral(
-    params: OperatorParams, f: CosetFunction, phi_tol: float = PHI_TOL
-) -> CosetFunction:
+def apply_spectral(params: OperatorParams, f: CosetFunction) -> CosetFunction:
     """Multiply the transform by |xi|**alpha and come back, on coset averages.
 
     The input must have zero mean (Lizorkin condition); otherwise the
@@ -92,10 +90,10 @@ def apply_spectral(
     """
     if f.ctx != params.ctx or f.n != params.n:
         raise ConfigError("operator and function live on different spaces")
-    if not is_in_Phi(f, phi_tol):
+    if not is_in_Phi(f):
         raise LizorkinError(
             f"input is not in the zero-mean (Lizorkin) class: integral = "
-            f"{complex(integrate(f)):.3e} exceeds tol {phi_tol:g}"
+            f"{complex(integrate(f)):.3e} exceeds tol {PHI_TOL:g}"
         )
     return CosetAverages(f).radial(params.symbol)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -175,6 +176,25 @@ def test_grid_cap_exit_code(tmp_path, monkeypatch, capsys):
     )
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_auto_sweep_past_the_label_cap_exits_3_before_writing(tmp_path, capsys):
+    # spheres 0 and 1 are present, so the auto sweep holds K + 4 labels
+    table = tmp_path / "u0.json"
+    table.write_text(json.dumps({"p": 2, "n": 1, "M": 1, "ell": 1, "values": [
+        {"re": str(v), "im": "0", "digits": [[a, b]]}
+        for (a, b), v in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [3, -1, -1, -1])
+    ]}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"p": 2, "n": 1, "K": 1000000, "u0_spec": str(table)}))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = cli.main(["solve", "--config", str(config), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1000004 labels" in err, err
+    assert not out.exists()
 
 
 def stub_results(ok: bool):
@@ -436,6 +456,7 @@ def test_solve_output_file_that_cannot_be_opened_exits_2(name, tmp_path, capsys)
     taken.mkdir()  # the default sweep writes slices L = -2 .. 1
     assert cli.main(["solve", "--out", str(tmp_path)]) == 2
     _one_error_line_naming(taken, capsys)
+    assert [f.name for f in tmp_path.iterdir()] == [name]
 
 
 def test_kernel_table_default_matches_golden(tmp_path):

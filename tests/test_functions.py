@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padicwave.errors import ConfigError, LizorkinError, NonRadialError
 from padicwave.functions import (
+    COMPLEX,
     CosetAverages,
     CosetFunction,
     RadialShellFunction,
@@ -164,6 +165,18 @@ def test_embed_constant_is_a_ball_indicator():
     assert equal_exact(f, scale(ball_indicator(ctx, 1, 0, 0, 1), Fraction(7)))
 
 
+def test_embed_radial_refuses_a_grid_too_narrow_or_too_coarse():
+    ctx = PrimeContext(3)
+    wide = RadialShellFunction(ctx, Fraction(0), (Fraction(1),), 2)  # 1 on |x| = 9
+    with pytest.raises(ConfigError, match=r"nonzero on \|x\| = p\*\*2, outside .* exponent 1"):
+        embed_radial(wide, 1, 0, 1)
+    assert evaluate(embed_radial(wide, 2, 0, 1), Fraction(1, 9)) == 1
+    fine = RadialShellFunction(ctx, Fraction(1), (Fraction(0),), -1)  # 0 on |x| = 1/3
+    with pytest.raises(ConfigError, match=r"varies on \|x\| = p\*\*-1, below .* exponent 1"):
+        embed_radial(fine, 0, 1, 1)
+    assert evaluate(embed_radial(fine, 0, 2, 1), Fraction(3)) == 0
+
+
 def test_l1_norms():
     ctx = PrimeContext(2)
     assert l1_norm(ball_indicator(ctx, 1, 2)) == 4
@@ -207,6 +220,11 @@ def test_pointwise_algebra_round_trip():
     g = _rng_table(6, ctx, 1, 0, 2)
     s = add(f, g)
     assert equal_exact(subtract(s, g), regrid(f, 1, 2))
+    # a float factor, or a complex operand, gives a complex table
+    h = scale(g, 0.5)
+    assert h.kind == COMPLEX and max_abs_diff(h, scale(g, Fraction(1, 2))) == 0.0
+    back = subtract(add(f, h), h)
+    assert back.kind == COMPLEX and max_abs_diff(back, regrid(f, 1, 2)) <= 1e-12
 
 
 def test_json_round_trip_is_exact(tmp_path):

@@ -9,7 +9,6 @@ from padicwave.lattice import (
     ball_character_integral,
     ball_volume,
     enumerate_cosets,
-    grid_cardinality,
     sphere_character_integral,
     sphere_representatives,
     sphere_volume,
@@ -102,7 +101,7 @@ def test_enumerate_cosets_small_grids():
 
 def test_grid_cardinality_rejects_negative_width():
     with pytest.raises(ConfigError):
-        grid_cardinality(PrimeContext(2), 0, -1, 1)
+        enumerate_cosets(PrimeContext(2), 0, -1, 1)
 
 
 def test_grid_cap_env_override(monkeypatch):

@@ -91,14 +91,6 @@ def test_scaling_acts_on_the_complex_value(coeffs, c):
     )
 
 
-@given(phase_dicts)
-def test_shift_by_half_negates(coeffs):
-    s = PhaseSum(2, coeffs)
-    assert cmath.isclose(
-        s.shifted(Fraction(1, 2)).to_complex(), -s.to_complex(), abs_tol=1e-9
-    )
-
-
 def test_equality_against_plain_numbers():
     s = PhaseSum(2, {Fraction(0): Fraction(5, 7)})
     assert s == Fraction(5, 7)

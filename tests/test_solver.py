@@ -29,7 +29,6 @@ from padicwave.solver import (
     auto_time_sweep,
     dependence_check,
     eigenfunction,
-    kernel_at_origin_limit,
     kernel_ball_integral,
     kernel_closed_form,
     kernel_oracle,
@@ -134,8 +133,8 @@ def test_floor_bracket_variant_is_wrong():
 def test_kernel_constant_deep_inside_the_front():
     ctx = PrimeContext(3)
     for K, L in ((1, 2), (2, 5), (3, 4)):
-        k_inf = kernel_at_origin_limit(K, 1, L, ctx)
         m_const = (L - 2) // K
+        k_inf = kernel_closed_form(K, 1, L, m_const, ctx)
         for M in range(m_const - 3, m_const + 1):
             assert kernel_closed_form(K, 1, L, M, ctx) == k_inf
 
@@ -155,7 +154,7 @@ def test_kernel_ball_integral_deep_ball_is_constant_mass():
     ctx = PrimeContext(3)
     K, n, L = 2, 1, 6
     m_const = (L - 2) // K
-    k_inf = kernel_at_origin_limit(K, n, L, ctx)
+    k_inf = kernel_closed_form(K, n, L, m_const, ctx)
     for r in range(m_const - 2, m_const + 1):
         assert kernel_ball_integral(K, n, L, r, ctx) == k_inf * Fraction(3) ** (n * r)
 
@@ -228,10 +227,10 @@ def test_l1_bound_holds_and_time_zero_is_isometric():
     ctx = PrimeContext(3)
     u0 = eigen_data(ctx, 1, Fraction(1), 1)
     prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=1, u0=u0)
-    zero_report = l1_bound_check(prob, T_ZERO)
+    zero_report = l1_bound_check(prob, solve_averaging(prob, T_ZERO).field)
     assert zero_report.ratio == pytest.approx(1.0)
     for L in auto_time_sweep(prob):
-        r = l1_bound_check(prob, L)
+        r = l1_bound_check(prob, solve_averaging(prob, L).field)
         assert r.passed, (L, r.ratio, r.bound)
 
 
