@@ -41,6 +41,8 @@ from .lattice import (
 )
 from .padic import NEG_INF, PrimeContext, rational_fractional_part
 from .solver import (
+    DUALITY_TOL,
+    EIGEN_TOL,
     T_ZERO,
     WaveProblem,
     auto_time_sweep,
@@ -224,7 +226,7 @@ def check_integration_formulas() -> CheckResult:
     )
 
 
-def check_fourier_round_trip(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> CheckResult:
+def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
     """inverse(forward(f)) = f on random tables; zero-mean/zero-at-origin flags."""
     from .fourier import forward, inverse
 
@@ -245,7 +247,7 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> Ch
             exact_failures += 1
         gaps.append(max_abs_diff(f, g))
     worst, count = nan_max(gaps), len(gaps)
-    if exact_failures or not worst <= tol:
+    if exact_failures or not worst <= EIGEN_TOL:
         return CheckResult(
             "fourier-round-trip",
             False,
@@ -274,7 +276,7 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> Ch
     )
 
 
-def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
+def check_eigenrelation() -> CheckResult:
     """Both operator forms reproduce the eigenvalue on the canonical family."""
     from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
 
@@ -297,7 +299,7 @@ def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
                             errors.append(err / max(abs(ref_c), 1e-30))
                     combos += 1
     worst = nan_max(errors)
-    passed = worst <= tol
+    passed = worst <= EIGEN_TOL
     return CheckResult(
         "eigenrelation",
         passed,
@@ -305,7 +307,7 @@ def check_eigenrelation(tol: float = 1e-10) -> CheckResult:
     )
 
 
-def check_operator_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult:
+def check_operator_duality(seed: int = DEFAULT_SEED) -> CheckResult:
     """Averaging, Fourier and hypersingular forms agree on zero-mean tables; exact if rational."""
     from .fourier import forward, inverse, multiply_radial
     from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
@@ -329,7 +331,7 @@ def check_operator_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Check
             gaps.append(max_abs_diff(spect, g))
         count += 1
     worst = nan_max(gaps)
-    passed = worst <= tol
+    passed = worst <= DUALITY_TOL
     return CheckResult(
         "operator-duality",
         passed,
@@ -400,11 +402,11 @@ def _duality_problems(seed: int = DEFAULT_SEED):
     return out
 
 
-def check_solver_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult:
+def check_solver_duality(seed: int = DEFAULT_SEED) -> CheckResult:
     """The three solver routes agree; t = 0 returns the data exactly.
 
     Averaging must equal the spectral route exactly on rational data, and
-    the convolution route to within tol.
+    the convolution route to within DUALITY_TOL.
     """
     gaps = []
     slices = 0
@@ -432,7 +434,7 @@ def check_solver_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckRe
             gaps.append(max_abs_diff(a, solve_convolution(prob, L).field))
             slices += 1
     worst = nan_max(gaps)
-    passed = worst <= tol
+    passed = worst <= DUALITY_TOL
     return CheckResult(
         "solver-duality",
         passed,
@@ -441,7 +443,7 @@ def check_solver_duality(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckRe
     )
 
 
-def check_time_pde(tol: float = 1e-10) -> CheckResult:
+def check_time_pde() -> CheckResult:
     """The time profile of a single-sphere mode is an eigenfunction in t.
 
     With spectral data on the sphere |xi| = p**N, the temporal operator of
@@ -475,7 +477,7 @@ def check_time_pde(tol: float = 1e-10) -> CheckResult:
             errors.append(err / max(abs(lam_c) * scale_ref, 1e-30))
         combos += 1
     worst = nan_max(errors)
-    passed = worst <= tol
+    passed = worst <= EIGEN_TOL
     return CheckResult(
         "time-pde",
         passed,
@@ -483,7 +485,7 @@ def check_time_pde(tol: float = 1e-10) -> CheckResult:
     )
 
 
-def check_finite_dependence(tol: float = 1e-12) -> CheckResult:
+def check_finite_dependence() -> CheckResult:
     """Data in a ball stays in the ball for every early-enough slice."""
     worst = 0.0
     combos = 0
@@ -493,7 +495,7 @@ def check_finite_dependence(tol: float = 1e-12) -> CheckResult:
             for N in (0, 1, 2):
                 f = _zero_mean(ball_indicator(ctx, 1, N - 1, N, 1 - N))
                 prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=K, u0=f)
-                report = dependence_check(prob, N, tol=tol)
+                report = dependence_check(prob, N)
                 worst = max(worst, report.max_leak)
                 if not report.passed:
                     return CheckResult(
@@ -566,22 +568,16 @@ def check_refusal() -> CheckResult:
     return CheckResult("refusal-path", False, "beta/alpha = 1.5 was not refused")
 
 
-def run_all(
-    bracket: str = "ceil",
-    seed: int = DEFAULT_SEED,
-    tol_duality: float = 1e-9,
-    tol_eigen: float = 1e-10,
-    tol_dependence: float = 1e-12,
-) -> list[CheckResult]:
+def run_all(bracket: str = "ceil", seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return [
         check_integration_formulas(),
-        check_fourier_round_trip(seed, tol=tol_eigen),
-        check_eigenrelation(tol=tol_eigen),
-        check_operator_duality(seed, tol=tol_duality),
+        check_fourier_round_trip(seed),
+        check_eigenrelation(),
+        check_operator_duality(seed),
         check_kernel_identity(bracket),
-        check_solver_duality(seed, tol=tol_duality),
-        check_time_pde(tol=tol_eigen),
-        check_finite_dependence(tol=tol_dependence),
+        check_solver_duality(seed),
+        check_time_pde(),
+        check_finite_dependence(),
         check_l1_bound(seed),
         check_uniqueness(),
         check_refusal(),

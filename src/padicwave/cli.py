@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .functions import (
 from .lattice import grid_cap
 from .padic import PrimeContext
 from .solver import (
+    EIGEN_TOL,
     WaveProblem,
     auto_time_sweep,
     eigenfunction,
@@ -98,13 +100,6 @@ def _dimension(raw) -> int:
     return n
 
 
-def _tolerance(raw) -> float:
-    tol = float(raw)
-    if not 0 <= tol < math.inf:  # nan compares false
-        raise ValueError(f"a tolerance must be a finite number >= 0, got {raw!r}")
-    return tol
-
-
 def _list_of(kind):
     """A parser for a JSON list whose items all convert with kind."""
 
@@ -117,12 +112,17 @@ def _list_of(kind):
 
 
 def _sweep(raw):
-    """'auto', or integer time labels: a JSON list, or comma-separated text as a flag gives."""
+    """'auto', or distinct integer time labels, each naming its own slice file: a
+    JSON list, or comma-separated text as a flag gives."""
     if raw == "auto":
         return raw
     if isinstance(raw, str):
         raw = [s for s in raw.split(",") if s.strip()]
-    return _list_of(_integer)(raw)
+    labels = _list_of(_integer)(raw)
+    repeated = [L for L, count in Counter(labels).items() if count > 1]
+    if repeated:
+        raise ValueError(f"the time label {repeated[0]} appears more than once")
+    return labels
 
 
 # Every setting a command shares: its flag (None when only a config file sets
@@ -138,9 +138,6 @@ SETTINGS = {
     "u0_spec": (None, str, "sphere-indicator 1", None),
     "sweep": ("--sweep", _sweep, "auto", "'auto' or comma-separated time exponents"),
     "output": ("--out", str, "padicwave-out", "output directory"),
-    "tolerances.duality": ("--tol-duality", _tolerance, 1e-9, "duality bar (1e-9)"),
-    "tolerances.eigen": ("--tol-eigen", _tolerance, 1e-10, "eigen/round-trip bar (1e-10)"),
-    "tolerances.dependence": ("--tol-dependence", _tolerance, 1e-12, "support-leak bar (1e-12)"),
     "profile_points": (None, _list_of(str), (), None),
     "seed": (None, _integer, 20260819, None),
 }
@@ -161,7 +158,7 @@ def _complex_columns(c: complex) -> str:
 
 
 def _read_config(path: str | None) -> dict:
-    """The config document at path as flat setting keys; {} without one."""
+    """The config document at path, each key a setting; {} without one."""
     if path is None:
         return {}
     try:
@@ -173,15 +170,10 @@ def _read_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    tols = doc.pop("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be an object")
-    nested = {f"tolerances.{k}": v for k, v in tols.items()}
-    unknown = [k for k in doc if "." in k or k not in SETTINGS]
-    unknown += [k for k in nested if k not in SETTINGS]
+    unknown = [k for k in doc if k not in SETTINGS]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return {**doc, **nested}
+    return doc
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -434,6 +426,9 @@ def _refuse_large_kernel_values(p: int, n: int, K: int, args: argparse.Namespace
 
 def cmd_kernel_table(cfg: dict, args: argparse.Namespace) -> int:
     for name, lo, hi in (("L", args.L_min, args.L_max), ("M", args.M_min, args.M_max)):
+        if lo > hi:
+            raise ConfigError(
+                f"{name} range [{lo}, {hi}] is empty: --{name}-min is above --{name}-max")
         if not (-12 <= lo <= hi <= 12):
             raise ConfigError(f"{name} range [{lo}, {hi}] must sit inside [-12, 12]")
     p, n, K = cfg["p"], cfg["n"], cfg["K"]
@@ -442,7 +437,7 @@ def cmd_kernel_table(cfg: dict, args: argparse.Namespace) -> int:
     rows, mismatches = [], 0
     for L in range(args.L_min, args.L_max + 1):
         for M in range(args.M_min, args.M_max + 1):
-            closed = kernel_closed_form(K, n, L, M, ctx, bracket=args.bracket)
+            closed = kernel_closed_form(K, n, L, M, ctx)
             oracle = kernel_oracle(K, n, L, M, ctx)
             equal = closed == oracle
             mismatches += 0 if equal else 1
@@ -474,7 +469,7 @@ def cmd_eigen_check(cfg: dict, args: argparse.Namespace) -> int:
             ref = w * lam
             errors.append(abs(v - ref) / max(abs(ref), 1e-30))
     worst = nan_max(errors)
-    ok = worst <= cfg["tolerances.eigen"]
+    ok = worst <= EIGEN_TOL
     print(
         f"eigen-check p={p} n={n} K={K} N={N} alpha={alpha}: "
         f"eigenvalue exponent {K * N} * alpha, worst relative error "
@@ -486,13 +481,7 @@ def cmd_eigen_check(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     from .acceptance import run_all  # imported here, so other commands never load the suite
 
-    results = run_all(
-        bracket=args.inject_bracket,
-        seed=cfg["seed"],
-        tol_duality=cfg["tolerances.duality"],
-        tol_eigen=cfg["tolerances.eigen"],
-        tol_dependence=cfg["tolerances.dependence"],
-    )
+    results = run_all(bracket=args.inject_bracket, seed=cfg["seed"])
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
@@ -531,20 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L-max", dest="L_max", type=int, default=4)
     sp.add_argument("--M-min", dest="M_min", type=int, default=-4)
     sp.add_argument("--M-max", dest="M_max", type=int, default=4)
-    sp.add_argument("--bracket", choices=("ceil", "floor"), default="ceil",
-                    help="mutation-testing hook; 'floor' is the known-wrong variant")
     sp.add_argument("--out", help="output CSV path or directory")
     sp.set_defaults(func=cmd_kernel_table)
 
     sp = sub.add_parser("eigen-check", help="verify the eigenvalue relation once")
-    _add_setting_flags(sp, "p", "n", "K", "alpha", "tolerances.eigen")
+    _add_setting_flags(sp, "p", "n", "K", "alpha")
     sp.add_argument("--N", type=int, default=1)
     sp.add_argument("--C", default="1")
     sp.set_defaults(func=cmd_eigen_check)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.add_argument("--config", help="JSON config file")
-    _add_setting_flags(sp, "tolerances.duality", "tolerances.eigen", "tolerances.dependence")
     sp.add_argument("--inject-bracket", choices=("ceil", "floor"), default="ceil",
                     help="mutation-testing hook: 'floor' must make the suite fail")
     sp.set_defaults(func=cmd_verify)

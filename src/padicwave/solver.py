@@ -51,6 +51,10 @@ from .padic import NEG_INF, PrimeContext, order_float
 
 T_ZERO = NEG_INF  # time label for t = 0: |t| = 0, every mode multiplier is 1
 
+DUALITY_TOL = 1e-9  # pass bar of the gap between two operator or solver routes
+EIGEN_TOL = 1e-10  # of the relative error of an eigenvalue relation or a Fourier round trip
+LEAK_TOL = 1e-12  # of a slice's values outside the ball that holds its data
+
 
 def __getattr__(name: str):
     # Only the spectral oracle transforms, so the Fourier layer is imported on
@@ -414,8 +418,8 @@ class DependenceReport:
         self.passed = passed
 
 
-def dependence_check(prob: WaveProblem, N: int, tol: float = 1e-12) -> DependenceReport:
-    """Verify slices of data supported in |x| <= p**N stay in that ball.
+def dependence_check(prob: WaveProblem, N: int) -> DependenceReport:
+    """Verify slices of data supported in |x| <= p**N stay in that ball, to within LEAK_TOL.
 
     Zero-mean data makes the kernel tail outside the data ball integrate to
     zero, so every slice is again supported in the ball; we widen the grid
@@ -427,7 +431,7 @@ def dependence_check(prob: WaveProblem, N: int, tol: float = 1e-12) -> Dependenc
         """|f| on the cosets outside the ball (the origin's exponent is -inf)."""
         return [abs(c) for e, c in zip(f.grid.norm_exponents, f.complex_values()) if e > N]
 
-    confined = nan_max(outside(prob.u0)) <= tol
+    confined = nan_max(outside(prob.u0)) <= LEAK_TOL
     wide = regrid(prob.u0, prob.u0.support_exp + 2, prob.u0.resolution_exp)
     wide_prob = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=prob.alpha, K=prob.K, u0=wide)
     sweep = auto_time_sweep(wide_prob)
@@ -438,7 +442,7 @@ def dependence_check(prob: WaveProblem, N: int, tol: float = 1e-12) -> Dependenc
         data_confined=confined,
         swept=tuple(labels),
         max_leak=max_leak,
-        passed=confined and max_leak <= tol,
+        passed=confined and max_leak <= LEAK_TOL,
     )
 
 

@@ -24,7 +24,7 @@ from padicwave.functions import (
     to_json_dict,
 )
 from padicwave.padic import PrimeContext
-from padicwave.solver import PropagationMultiplier
+from padicwave.solver import PropagationMultiplier, kernel_closed_form
 
 
 def read_table(path: Path) -> dict:
@@ -102,12 +102,12 @@ def test_kernel_table_all_rows_agree(tmp_path, capsys):
     assert "0 mismatching rows" in capsys.readouterr().out
 
 
-def test_kernel_table_floor_bracket_fails(tmp_path):
+def test_kernel_table_floor_bracket_fails(tmp_path, monkeypatch):
+    # the known-wrong bracket in place of the closed form: kernel-table must report it
+    monkeypatch.setattr(cli, "kernel_closed_form",
+                        lambda *args: kernel_closed_form(*args, bracket="floor"))
     out = tmp_path / "kernel.csv"
-    code = cli.main(
-        ["kernel-table", "--p", "2", "--K", "2", "--bracket", "floor",
-         "--out", str(out)]
-    )
+    code = cli.main(["kernel-table", "--p", "2", "--K", "2", "--out", str(out)])
     assert code == 1
     rows = list(csv.DictReader(open(out, encoding="utf-8")))
     assert any(r["equal"] == "false" for r in rows)
@@ -117,6 +117,10 @@ def test_kernel_table_range_validation(tmp_path, capsys):
     code = cli.main(["kernel-table", "--L-max", "13", "--out", str(tmp_path)])
     assert code == 2
     assert "must sit inside" in capsys.readouterr().err
+    code = cli.main(["kernel-table", "--L-min", "3", "--L-max", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert "L range [3, 2] is empty" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_eigen_check_passes(capsys):
@@ -161,9 +165,9 @@ def test_bad_config_files(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(bad_json)]) == 2
 
     unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"prime": 2}))
+    unknown.write_text(json.dumps({"prime": 2, "tolerances": {"eigen": 1e-10}}))
     assert cli.main(["solve", "--config", str(unknown)]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    assert "unknown config keys: ['prime', 'tolerances']" in capsys.readouterr().err
 
     missing = tmp_path / "missing.json"
     assert cli.main(["solve", "--config", str(missing)]) == 2
@@ -216,7 +220,7 @@ def test_verify_exit_codes_with_stubbed_suite(monkeypatch, capsys):
     assert "FAILED: beta: broke" in captured.err
 
 
-def test_verify_passes_tolerances_and_bracket_through(tmp_path, monkeypatch):
+def test_verify_passes_seed_and_bracket_through(tmp_path, monkeypatch):
     seen = {}
 
     def spy(**kw):
@@ -225,11 +229,9 @@ def test_verify_passes_tolerances_and_bracket_through(tmp_path, monkeypatch):
 
     monkeypatch.setattr(acceptance, "run_all", spy)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"duality": 1e-8}, "seed": 7}))
+    cfg.write_text(json.dumps({"seed": 7}))
     assert cli.main(["verify", "--config", str(cfg), "--inject-bracket", "floor"]) == 0
-    assert seen["bracket"] == "floor"
-    assert seen["tol_duality"] == pytest.approx(1e-8)
-    assert seen["seed"] == 7
+    assert seen == {"bracket": "floor", "seed": 7}
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -282,7 +284,15 @@ def test_solve_writes_no_negative_zero(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["solve", "--tol-duality", "5"], ["verify", "--out", "x"]], ids=["solve", "verify"]
+    "argv",
+    [
+        ["solve", "--tol-duality", "5"],
+        ["verify", "--out", "x"],
+        ["verify", "--tol-duality", "1"],
+        ["eigen-check", "--tol-eigen", "1"],
+        ["kernel-table", "--bracket", "floor"],
+    ],
+    ids=["solve", "verify", "verify-tol", "eigen-check-tol", "kernel-table-bracket"],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -321,7 +331,6 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"p": "abc"}, []),
         ({"alpha": "1/0"}, []),
         ({"sweep": ["x"]}, []),
-        ({"tolerances": {"duality": "x"}}, []),
         ({"n": 0}, []),
         ({}, ["--sweep", "1,a"]),
         ({"p": 3, "u0_spec": "TABLE:no-re"}, []),
@@ -341,7 +350,6 @@ def _broken_table(path: Path, edit: str) -> Path:
         ('{"K": 1e400}', []),
         ('{"seed": 1e400}', []),
         ('{"sweep": [1e400]}', []),
-        ('{"tolerances": {"eigen": 1' + "0" * 400 + "}}", []),
         ({"u0_spec": "."}, []),
         ({"p": 3, "u0_spec": "TABLE:not-json"}, []),
         ({"alpha": 10**400}, []),
@@ -355,17 +363,20 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"p": 3, "u0_spec": "eigen 1 1e308"}, []),
         ({"u0_spec": "eigen 1" + "0" * 400 + " 1"}, []),
         ({"K": 10**400, "u0_spec": "eigen 1 1"}, []),
-        ({"tolerances": {"speed": 1}}, []),
+        ({"tolerances": {"eigen": 1e-10}}, []),
+        ({"sweep": [1, 1]}, []),
+        ({}, ["--sweep", "1,1"]),
     ],
     ids=[
-        "p", "alpha", "sweep", "tolerance", "n", "sweep-flag", "table-entry",
+        "p", "alpha", "sweep", "n", "sweep-flag", "table-entry",
         "table-digit", "table-digit-count", "table-coordinates", "table-duplicate",
         "profile-overflow", "profile-nan", "profile-length", "profile-zero-division", "alpha-inf", "p-fractional", "n-bool",
         "p-overflow", "n-overflow", "K-overflow", "seed-overflow", "sweep-overflow",
-        "tolerance-overflow", "table-directory", "table-not-json",
+        "table-directory", "table-not-json",
         "alpha-overflow", "beta-overflow", "sphere-indicator-huge", "sphere-indicator-tiny",
         "eigen-huge", "n-huge", "p-beyond-exact-primality", "K-literal-past-int-limit",
         "eigen-float-C-huge", "eigen-N-past-float", "eigen-K-past-float", "tolerance-unknown",
+        "sweep-repeated", "sweep-flag-repeated",
     ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
@@ -396,11 +407,7 @@ def _suite_must_not_run(**kw):
 @pytest.mark.parametrize(
     "argv, doc",
     [
-        (["verify", "--tol-duality", "nan"], None),
-        (["verify", "--tol-duality", "-1"], None),
         (["verify"], {"tolerances": {"eigen": -1}}),
-        (["eigen-check", "--tol-eigen", "nan"], None),
-        (["eigen-check", "--tol-eigen", "-1"], None),
         (["kernel-table", "--n", "-1"], None),
         (["kernel-table", "--n", "0"], None),
         (["eigen-check", "--p", "3", "--C", "1e308"], None),
@@ -409,8 +416,7 @@ def _suite_must_not_run(**kw):
         (["kernel-table", "--n", "4000"], None),
     ],
     ids=[
-        "verify-tol-nan", "verify-tol-negative", "verify-config-tol-negative",
-        "eigen-check-tol-nan", "eigen-check-tol-negative", "kernel-table-n-negative",
+        "verify-config-tol-negative", "kernel-table-n-negative",
         "kernel-table-n-zero", "eigen-check-float-C-huge", "eigen-check-eigenvalue-huge",
         "eigen-check-alpha-tiny", "kernel-table-values-past-int-str-limit",
     ],
@@ -625,11 +631,6 @@ _CONFIGS = st.fixed_dictionaries(
         ),
         "sweep": _mostly(st.just("auto") | st.lists(st.integers(-20, 20), max_size=4)),
         "output": _VALUES,
-        "tolerances": _mostly(
-            st.dictionaries(
-                st.sampled_from(["duality", "eigen", "dependence"]), st.floats(0, 1), max_size=3
-            )
-        ),
         "profile_points": _mostly(
             st.lists(
                 _NUMBER_TEXT | st.lists(_NUMBER_TEXT, min_size=2, max_size=2).map(",".join),
