@@ -41,7 +41,6 @@ _MODULE_OF = {
     "ball_volume": "lattice",
     "canonical_digits": "padic",
     "character": "padic",
-    "dependence_check": "solver",
     "eigenfunction": "solver",
     "embed_radial": "functions",
     "enumerate_cosets": "lattice",
@@ -78,7 +77,6 @@ _MODULE_OF = {
     "subtract": "functions",
     "time_profile": "solver",
     "translate": "functions",
-    "uniqueness_smoke": "solver",
     "valuation": "padic",
 }
 

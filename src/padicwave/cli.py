@@ -45,6 +45,7 @@ from .solver import (
     EIGEN_TOL,
     WaveProblem,
     auto_time_sweep,
+    coupling,
     eigenfunction,
     kernel_closed_form,
     kernel_oracle,
@@ -93,11 +94,16 @@ def _integer(raw) -> int:
     return int(raw)
 
 
-def _dimension(raw) -> int:
-    n = _integer(raw)
-    if n < 1:
-        raise ValueError(f"the dimension n must be at least 1, got {n}")
-    return n
+def _positive(what: str):
+    """A parser for an integer setting that must be at least 1; what names it."""
+
+    def parse(raw) -> int:
+        value = _integer(raw)
+        if value < 1:
+            raise ValueError(f"{what} must be at least 1, got {value}")
+        return value
+
+    return parse
 
 
 def _list_of(kind):
@@ -131,10 +137,10 @@ def _sweep(raw):
 # reads (see build_parser).
 SETTINGS = {
     "p": ("--p", _integer, 2, "prime"),
-    "n": ("--n", _dimension, 1, "dimension"),
+    "n": ("--n", _positive("the dimension n"), 1, "dimension"),
     "alpha": ("--alpha", _parse_number, 1, "temporal operator order (int, a/b, or float)"),
     "beta": (None, _parse_number, None, None),
-    "K": ("--K", _integer, 1, "spatial order as a multiple of alpha"),
+    "K": ("--K", _positive("the coupling K"), 1, "spatial order as a multiple of alpha"),
     "u0_spec": (None, str, "sphere-indicator 1", None),
     "sweep": ("--sweep", _sweep, "auto", "'auto' or comma-separated time exponents"),
     "output": ("--out", str, "padicwave-out", "output directory"),
@@ -271,11 +277,12 @@ def _builtin_u0(cfg: dict, ctx: PrimeContext, N_text: str, K: int, C) -> CosetFu
 
 
 def _build_problem(cfg: dict) -> WaveProblem:
-    ctx = PrimeContext(cfg["p"])
-    u0 = _build_u0(cfg, ctx)
+    """The problem the settings describe; K is decided first, from beta when it is
+    given, so an eigen datum is built with the K that evolves it."""
     if cfg["beta"] is not None:
-        return WaveProblem.from_alpha_beta(ctx, cfg["n"], cfg["alpha"], cfg["beta"], u0)
-    return WaveProblem(ctx=ctx, n=cfg["n"], alpha=cfg["alpha"], K=cfg["K"], u0=u0)
+        cfg = {**cfg, "K": coupling(cfg["alpha"], cfg["beta"])}
+    ctx = PrimeContext(cfg["p"])
+    return WaveProblem(ctx=ctx, n=cfg["n"], alpha=cfg["alpha"], K=cfg["K"], u0=_build_u0(cfg, ctx))
 
 
 def _open_output(path: Path):
@@ -370,11 +377,9 @@ def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     l1_ratios = {}
     bound = None
     for L in sweep:
-        sl = solve_averaging(prob, L)
-        _write_slice_csv(out / f"slice_L{L}.csv", sl.field)
-        rep = l1_bound_check(prob, sl.field)
-        l1_ratios[str(L)] = rep.ratio
-        bound = rep.bound
+        field = solve_averaging(prob, L).field
+        _write_slice_csv(out / f"slice_L{L}.csv", field)
+        l1_ratios[str(L)], bound = l1_bound_check(prob, field)
     profiles = []
     for i, (text, x) in enumerate(zip(cfg["profile_points"], points)):
         name = f"profile_{i}.csv"

@@ -536,6 +536,9 @@ def _value_to_json(v):
 
 def _value_from_json(entry):
     re, im = entry["re"], entry["im"]
+    for part in (re, im):  # JSON reads true as 1 and Infinity or NaN as floats
+        if isinstance(part, bool) or (isinstance(part, float) and not math.isfinite(part)):
+            raise ValueError(f"{part!r} is not a finite number")
     if isinstance(re, str):
         re_f, im_f = Fraction(re), Fraction(im)
         if im_f == 0:

@@ -43,8 +43,6 @@ from .functions import (
     integrate,
     is_in_Phi,
     l1_norm,
-    nan_max,
-    regrid,
 )
 from .lattice import digit_valuations, sphere_volume
 from .padic import NEG_INF, PrimeContext, order_float
@@ -53,7 +51,7 @@ T_ZERO = NEG_INF  # time label for t = 0: |t| = 0, every mode multiplier is 1
 
 DUALITY_TOL = 1e-9  # pass bar of the gap between two operator or solver routes
 EIGEN_TOL = 1e-10  # of the relative error of an eigenvalue relation or a Fourier round trip
-LEAK_TOL = 1e-12  # of a slice's values outside the ball that holds its data
+LEAK_TOL = 1e-12  # of a slice's values outside the ball of its data; anywhere, for zero data
 
 
 def __getattr__(name: str):
@@ -215,6 +213,36 @@ def kernel_ball_integral(
 # the Cauchy problem
 
 
+def coupling(alpha, beta) -> int:
+    """K = beta/alpha from raw operator orders, refusing incompatible pairs.
+
+    The separated modes force the ratio beta/alpha to be a positive
+    integer; anything else admits only the zero solution, so we refuse
+    loudly instead of computing garbage.
+    """
+    if not order_float(alpha, "the temporal order") > 0:
+        raise ConfigError(f"the temporal order must be positive, got {alpha}")
+    order_float(beta, "the spatial order")
+    if isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction)):
+        ratio = Fraction(beta) / Fraction(alpha)
+        shown, integral = str(ratio), ratio.denominator == 1
+    else:
+        ratio = float(beta) / float(alpha)
+        shown = f"{ratio:.6g}"
+        # a tiny alpha can make the ratio overflow to inf, which has no round()
+        integral = math.isfinite(ratio) and (
+            abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+        )
+    K = round(ratio) if integral else 0
+    if K < 1:
+        raise SpectralCompatibilityError(
+            f"beta/alpha = {shown} is not a positive integer; the "
+            "separated modes then all collapse and the problem admits "
+            "only the zero solution. Choose beta = K*alpha."
+        )
+    return K
+
+
 class WaveProblem:
     """Zero-mean initial data plus the operator orders driving its evolution.
 
@@ -250,33 +278,8 @@ class WaveProblem:
 
     @classmethod
     def from_alpha_beta(cls, ctx, n, alpha, beta, u0) -> "WaveProblem":
-        """Construct from raw operator orders, refusing incompatible pairs.
-
-        The separated modes force the ratio beta/alpha to be a positive
-        integer; anything else admits only the zero solution, so we refuse
-        loudly instead of computing garbage.
-        """
-        if not order_float(alpha, "the temporal order") > 0:
-            raise ConfigError(f"the temporal order must be positive, got {alpha}")
-        order_float(beta, "the spatial order")
-        if isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction)):
-            ratio = Fraction(beta) / Fraction(alpha)
-            shown, integral = str(ratio), ratio.denominator == 1
-        else:
-            ratio = float(beta) / float(alpha)
-            shown = f"{ratio:.6g}"
-            # a tiny alpha can make the ratio overflow to inf, which has no round()
-            integral = math.isfinite(ratio) and (
-                abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
-            )
-        K = round(ratio) if integral else 0
-        if K < 1:
-            raise SpectralCompatibilityError(
-                f"beta/alpha = {shown} is not a positive integer; the "
-                "separated modes then all collapse and the problem admits "
-                "only the zero solution. Choose beta = K*alpha."
-            )
-        return cls(ctx=ctx, n=n, alpha=alpha, K=K, u0=u0)
+        """Construct from raw operator orders, with K = ``coupling(alpha, beta)``."""
+        return cls(ctx=ctx, n=n, alpha=alpha, K=coupling(alpha, beta), u0=u0)
 
     @cached_property
     def averages(self) -> CosetAverages:
@@ -406,97 +409,20 @@ def auto_time_sweep(prob: WaveProblem) -> range:
     return range(lo, hi + 1)
 
 
-class DependenceReport:
-    """Outcome of the finite-speed-of-support check for one data ball; treat as immutable."""
+def l1_bound_check(prob: WaveProblem, field: CosetFunction) -> tuple[float, float]:
+    """The growth ||u(t)||_1 / ||u0||_1 of one slice ``field``, and its bound.
 
-    __slots__ = ("data_confined", "swept", "max_leak", "passed")
-
-    def __init__(self, data_confined: bool, swept: tuple, max_leak: float, passed: bool):
-        self.data_confined = data_confined
-        self.swept = swept
-        self.max_leak = max_leak
-        self.passed = passed
-
-
-def dependence_check(prob: WaveProblem, N: int) -> DependenceReport:
-    """Verify slices of data supported in |x| <= p**N stay in that ball, to within LEAK_TOL.
-
-    Zero-mean data makes the kernel tail outside the data ball integrate to
-    zero, so every slice is again supported in the ball; we widen the grid
-    by two support exponents so there is room outside to observe a leak if
-    one existed.
-    """
-
-    def outside(f: CosetFunction):
-        """|f| on the cosets outside the ball (the origin's exponent is -inf)."""
-        return [abs(c) for e, c in zip(f.grid.norm_exponents, f.complex_values()) if e > N]
-
-    confined = nan_max(outside(prob.u0)) <= LEAK_TOL
-    wide = regrid(prob.u0, prob.u0.support_exp + 2, prob.u0.resolution_exp)
-    wide_prob = WaveProblem(ctx=prob.ctx, n=prob.n, alpha=prob.alpha, K=prob.K, u0=wide)
-    sweep = auto_time_sweep(wide_prob)
-    L_top = prob.K * (N - 1)
-    labels = sorted(set(lab for lab in sweep if lab <= L_top) | {L_top, L_top - 1})
-    max_leak = nan_max(c for L in labels for c in outside(solve_averaging(wide_prob, L).field))
-    return DependenceReport(
-        data_confined=confined,
-        swept=tuple(labels),
-        max_leak=max_leak,
-        passed=confined and max_leak <= LEAK_TOL,
-    )
-
-
-class StabilityReport:
-    """L1 growth of one slice against the universal bound; treat as immutable."""
-
-    __slots__ = ("ratio", "bound", "passed")
-
-    def __init__(self, ratio: float, bound: float, passed: bool):
-        self.ratio = ratio
-        self.bound = bound
-        self.passed = passed
-
-
-def l1_bound_check(prob: WaveProblem, field: CosetFunction) -> StabilityReport:
-    """Check ||u(t)||_1 <= p**(2*n*gamma) * ||u0||_1 with gamma = max(1, ceil(2/K)).
-
-    ``field`` is one slice of the problem.  The kernel's L1 mass on any
-    slice is bounded by a constant depending only on (p, n, K); this is the
-    crude but universal version of that bound, and every slice must respect it.
+    Every slice must satisfy ||u(t)||_1 <= p**(2*n*gamma) * ||u0||_1 with
+    gamma = max(1, ceil(2/K)).  The kernel's L1 mass on any slice is bounded
+    by a constant depending only on (p, n, K); this is the crude but
+    universal version of that bound.
     """
     gamma = max(1, _ceil_div(2, prob.K))
     bound = float(prob.ctx.p) ** (2 * prob.n * gamma)
-    base = prob.u0_l1
-    grown = l1_norm(field)
-    base_f, grown_f = float(base), float(grown)
+    base_f, grown_f = float(prob.u0_l1), float(l1_norm(field))
     if base_f == 0.0:
-        ratio = 0.0 if grown_f == 0.0 else math.inf
-    else:
-        ratio = grown_f / base_f
-    return StabilityReport(ratio=ratio, bound=bound, passed=ratio <= bound * (1 + 1e-12))
-
-
-class UniquenessReport:
-    """Zero data's largest value over every route and time; treat as immutable."""
-
-    __slots__ = ("max_abs", "passed")
-
-    def __init__(self, max_abs: float, passed: bool):
-        self.max_abs = max_abs
-        self.passed = passed
-
-
-def uniqueness_smoke(prob: WaveProblem, labels=None) -> UniquenessReport:
-    """Zero data must evolve to zero along all three routes at every time."""
-    if float(prob.u0_l1) != 0.0:
-        raise ConfigError("uniqueness smoke test needs identically zero data")
-    if labels is None:
-        labels = auto_time_sweep(prob)
-    routes = (solve_averaging, solve_spectral, solve_convolution)
-    worst = nan_max(
-        abs(c) for L in labels for route in routes for c in route(prob, L).field.complex_values()
-    )
-    return UniquenessReport(max_abs=worst, passed=worst <= 1e-12)
+        return (0.0 if grown_f == 0.0 else math.inf), bound
+    return grown_f / base_f, bound
 
 
 def time_profile(prob: WaveProblem, x) -> RadialShellFunction:

@@ -237,6 +237,26 @@ def test_verify_passes_seed_and_bracket_through(tmp_path, monkeypatch):
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
+def test_verify_report_matches_golden(capsys):
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-default.txt").read_text()
+
+
+def test_K_from_beta_builds_the_eigen_datum_it_evolves(tmp_path):
+    # K given, and K = beta/alpha: the same problem, so the same files
+    runs = {}
+    for name, doc in (("K", {"K": 3}), ("beta", {"alpha": 1, "beta": 3})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"p": 2, "u0_spec": "eigen 1 1", **doc}))
+        out = tmp_path / name
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        runs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert runs["beta"] == runs["K"]
+    # the datum sits on the frequency sphere K*N = 3, so the sweep is -3K - 1 .. -3K + 2
+    slices = [f"slice_L{L}.csv" for L in range(-10, -6)]
+    assert sorted(runs["K"]) == sorted([*slices, "summary.json", "u0.csv"])
+
+
 def _no_representatives(grid):
     raise AssertionError(f"representatives of {len(grid)} cosets were built")
 
@@ -310,6 +330,13 @@ def _broken_table(path: Path, edit: str) -> Path:
     if edit == "no-re":
         doc = json.loads((GOLDEN / "table-p3-n1-M2-ell1.json").read_text())
         del doc["values"][0]["re"]
+    elif edit in ("infinity", "nan", "bool"):
+        # a zero-mean complex n=2 table, whose numbers JSON may write as
+        # Infinity, NaN or true
+        doc = json.loads((GOLDEN / "table-p3-n2-M1-ell1-complex-zero-mean.json").read_text())
+        part, value = {"infinity": ("re", math.inf), "nan": ("re", math.nan),
+                       "bool": ("im", True)}[edit]
+        doc["values"][0][part] = value
     else:
         # all zero, so only the digits can be what is refused
         doc = to_json_dict(CosetFunction.from_values(PrimeContext(3), 1, 1, 1, [0] * 9))
@@ -338,6 +365,9 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"p": 3, "u0_spec": "TABLE:digit-count"}, []),
         ({"p": 3, "u0_spec": "TABLE:coordinates"}, []),
         ({"p": 3, "u0_spec": "TABLE:duplicate"}, []),
+        ({"p": 3, "n": 2, "u0_spec": "TABLE:infinity"}, []),
+        ({"p": 3, "n": 2, "u0_spec": "TABLE:nan"}, []),
+        ({"p": 3, "n": 2, "u0_spec": "TABLE:bool"}, []),
         ({"profile_points": ["1e400"]}, []),
         ({"profile_points": ["nan"]}, []),
         ({"profile_points": ["1,2"]}, []),
@@ -370,6 +400,7 @@ def _broken_table(path: Path, edit: str) -> Path:
     ids=[
         "p", "alpha", "sweep", "n", "sweep-flag", "table-entry",
         "table-digit", "table-digit-count", "table-coordinates", "table-duplicate",
+        "table-infinity", "table-nan", "table-bool",
         "profile-overflow", "profile-nan", "profile-length", "profile-zero-division", "alpha-inf", "p-fractional", "n-bool",
         "p-overflow", "n-overflow", "K-overflow", "seed-overflow", "sweep-overflow",
         "table-directory", "table-not-json",
@@ -414,11 +445,14 @@ def _suite_must_not_run(**kw):
         (["eigen-check", "--p", "3", "--N", "400"], None),
         (["eigen-check", "--alpha", "1e-320"], None),
         (["kernel-table", "--n", "4000"], None),
+        (["kernel-table", "--K", "0"], None),
+        (["eigen-check", "--K", "0"], None),
     ],
     ids=[
         "verify-config-tol-negative", "kernel-table-n-negative",
         "kernel-table-n-zero", "eigen-check-float-C-huge", "eigen-check-eigenvalue-huge",
         "eigen-check-alpha-tiny", "kernel-table-values-past-int-str-limit",
+        "kernel-table-K-zero", "eigen-check-K-zero",
     ],
 )
 def test_bad_settings_of_every_command_exit_2(argv, doc, tmp_path, monkeypatch, capsys):
@@ -579,7 +613,7 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from padicwave import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(padicwave.__all__)
-    assert len(padicwave.__all__) == 65
+    assert len(padicwave.__all__) == 63
     assert padicwave.forward is fourier.forward
     with pytest.raises(AttributeError):
         padicwave.no_such_name

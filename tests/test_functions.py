@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -243,6 +244,17 @@ def test_loader_names_a_coset_listed_twice():
     doc = to_json_dict(_rng_table(4, PrimeContext(3), 1, 1, 1))
     doc["values"][1]["digits"] = doc["values"][0]["digits"]
     with pytest.raises(ConfigError, match="listed twice"):
+        from_json_dict(doc)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "complex"])
+@pytest.mark.parametrize("part, value", [("re", math.inf), ("im", -math.inf),
+                                         ("re", math.nan), ("im", True), ("re", False)])
+def test_loader_names_an_entry_that_is_not_a_finite_number(exact, part, value):
+    f = _rng_table(4, PrimeContext(3), 1, 1, 1)
+    doc = to_json_dict(f if exact else scale(f, 1j))
+    doc["values"][1][part] = value
+    with pytest.raises(ConfigError, match=r"malformed coset table entry .*not a finite number"):
         from_json_dict(doc)
 
 
