@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .errors import ConfigError, NonRadialError
 from .lattice import (
@@ -290,30 +290,16 @@ def equal_exact(f: CosetFunction, g: CosetFunction) -> bool:
 # -- coset averages ----------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _block_ids(p: int, n: int, width: int, shift: int) -> tuple[int, ...]:
-    """Block of each cell of an n-dim array, p**width cells a side, in row-major order.
-
-    Blocks are p**shift cells a side and numbered in row-major order too.
-    """
-    block = p**shift
-    one_d = [j // block for j in range(p**width)]
-    per_side = p ** (width - shift)
-    ids = [0]
-    for _ in range(n):
-        ids = [g * per_side + b for g in ids for b in one_d]
-    return tuple(ids)
-
-
 class CosetAverages:
     """The averages A_r f of a table over the cosets x + B_{-r}, -M <= r <= ell.
 
     A coset x + B_{-r} fixes the digits of x below exponent r, and in grid
     order those are the leading M + r digits of each coordinate's position;
     so at level r the cosets are the blocks of p**(ell - r) positions a side.
-    The block sums are built once, each level from the finer one above it.
-    A rational table's sums are exact integer sums of its numerators; any
-    other table is carried as complex numbers.
+    The block sums are built once, each level from the finer one above it,
+    and level -M - 1 is one coset with sum 0.  A rational table's sums are
+    exact integer sums of its numerators; any other table is carried as
+    complex numbers.
     """
 
     __slots__ = ("f", "sums")
@@ -321,11 +307,11 @@ class CosetAverages:
     def __init__(self, f: CosetFunction):
         self.f = f
         level = f.cells if f.kind == RATIONAL else f.complex_values()
-        p, n, M, ell = f.ctx.p, f.n, f.support_exp, f.resolution_exp
-        self.sums = {ell: level}
+        M, ell = f.support_exp, f.resolution_exp
+        self.sums = {ell: level, -M - 1: [0]}
         for r in range(ell - 1, -M - 1, -1):
-            coarse = [0] * p ** (n * (M + r))
-            for g, s in zip(_block_ids(p, n, M + r + 1, 1), level):
+            coarse = [0] * f.ctx.p ** (f.n * (M + r))
+            for g, s in zip(self._spread(range(len(coarse)), r, r + 1), level):
                 coarse[g] += s
             self.sums[r] = level = coarse
 
@@ -333,16 +319,25 @@ class CosetAverages:
         """Grid cosets in one coset of level r."""
         return self.f.ctx.p ** (self.f.n * (self.f.resolution_exp - r))
 
+    def _spread(self, cells, lo: int, hi: int):
+        """The level-lo values (any iterable), lazily, each repeated over the level-hi cosets it holds."""
+        p, M = self.f.ctx.p, self.f.support_exp
+        q, side = p ** (hi - max(lo, -M)), p ** (M + hi)
+        chain = itertools.chain.from_iterable
+        out = chain([c] * q for c in cells)  # the last axis
+        for k in range(1, self.f.n):  # then each earlier one repeats whole rows
+            rows, row = list(out), side**k  # the stage before, read whole first
+            out = chain(rows[i : i + row] * q for i in range(0, len(rows), row))
+        return out
+
     def differs(self, r: int, tol: float = 0.0) -> bool:
         """Whether A_r f and A_{r-1} f differ (by more than tol, for a complex table)."""
-        p, n = self.f.ctx.p, self.f.n
-        parent = _block_ids(p, n, self.f.support_exp + r, 1)
-        fine, coarse = self.sums[r], self.sums[r - 1]
+        fine, coarse = self.sums[r], self._spread(self.sums[r - 1], r - 1, r)
         if self.f.kind == RATIONAL:
-            q = p**n
-            return any(s * q != coarse[g] for g, s in zip(parent, fine))
+            q = self.f.ctx.p ** self.f.n
+            return any(s * q != c for s, c in zip(fine, coarse))
         cf, cc = self._count(r), self._count(r - 1)
-        return any(abs(s / cf - coarse[g] / cc) > tol for g, s in zip(parent, fine))
+        return any(abs(s / cf - c / cc) > tol for s, c in zip(fine, coarse))
 
     def radial(self, weight) -> CosetFunction:
         """The table with each frequency sphere |xi| = p**N scaled by weight(N).
@@ -350,7 +345,7 @@ class CosetAverages:
         weight(NEG_INF) scales the origin coset, as ``fourier.multiply_radial``
         does.  A transform times 1 on B_N is the average over x + B_{-N}, so a
         run of levels lo < N <= hi of one weight w adds w * (A_hi f - A_lo f),
-        A_{-M-1} f = 0, on the blocks of level hi.  Rational tables and weights
+        A_{-M-1} f = 0, on the cosets of level hi.  Rational tables and weights
         give integer numerators over one denominator, anything else complex.
         """
         f = self.f
@@ -362,18 +357,18 @@ class CosetAverages:
         for hi, x, nxt in zip(range(-M, ell + 1), w, [*w[1:], 0]):
             if x == nxt:  # inside a run, or past the last nonzero weight
                 continue
-            parent = _block_ids(p, n, M + hi, hi - lo) if lo >= -M else itertools.repeat(0)
-            coarse, fine = self.sums.get(lo, [0]), self.sums[hi]
+            coarse = self._spread(self.sums[lo], lo, hi)
+            parts = zip(self._spread(acc, lo, hi), self.sums[hi], coarse)
             if exact:  # A_r f is sums[r] * p**(n*(r - base)) over den * wden * count(base)
                 base = min(base, hi)  # the coarsest level read
                 x, qh, ql = (x * wden).numerator, *(p ** (n * max(r - base, 0)) for r in (hi, lo))
-                acc = [acc[g] + x * (s * qh - coarse[g] * ql) for g, s in zip(parent, fine)]
+                acc = [a + x * (s * qh - c * ql) for a, s, c in parts]
             else:  # A_r f is sums[r] / (count(r) * den), a real weight taken as a float
                 x = x if isinstance(x, complex) else float(x)
                 ch, cl = (self._count(r) * (f.den or 1) for r in (hi, lo))
-                acc = [acc[g] + x * (s / ch - coarse[g] / cl) for g, s in zip(parent, fine)]
+                acc = [a + x * (s / ch - c / cl) for a, s, c in parts]
             lo = hi
-        acc = [acc[g] for g in _block_ids(p, n, M + ell, ell - max(lo, -M))]
+        acc = self._spread(acc, lo, ell) if lo < ell else acc
         return CosetFunction(f.grid, acc, f.den * wden * self._count(base) if exact else None)
 
 

@@ -51,7 +51,7 @@ T_ZERO = NEG_INF  # time label for t = 0: |t| = 0, every mode multiplier is 1
 
 DUALITY_TOL = 1e-9  # pass bar of the gap between two operator or solver routes
 EIGEN_TOL = 1e-10  # of the relative error of an eigenvalue relation or a Fourier round trip
-LEAK_TOL = 1e-12  # of a slice's values outside the ball of its data; anywhere, for zero data
+LEAK_TOL = 1e-12  # of a slice's values outside the ball of its data
 
 
 def __getattr__(name: str):
@@ -70,14 +70,19 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _check_coupling(K) -> None:
+    """Refuse a coupling K that is not a positive integer; a bool is refused too."""
+    if type(K) is not int or K < 1:
+        raise ConfigError(f"the coupling K must be a positive integer, got {K}")
+
+
 class PropagationMultiplier:
     """The diagonal symbol b(|t|, |xi|) for one coupling constant K; treat as immutable."""
 
     __slots__ = ("ctx", "K")
 
     def __init__(self, ctx: PrimeContext, K: int):
-        if not isinstance(K, int) or K < 1:
-            raise ConfigError(f"the coupling K must be a positive integer, got {K}")
+        _check_coupling(K)
         self.ctx = ctx
         self.K = K
 
@@ -103,8 +108,7 @@ def eigenfunction(
     |xi| = p**(K*N): constant C*(1 - p**-n)*p**(K*N*n) on the ball of radius
     p**(-K*N), one negative shell just above it, zero beyond.
     """
-    if not isinstance(K, int) or K < 1:
-        raise ConfigError(f"the coupling K must be a positive integer, got {K}")
+    _check_coupling(K)
     p = Fraction(ctx.p)
     core = (1 - p ** (-n)) * p ** (K * N * n)
     shell = -(p ** ((K * N - 1) * n))
@@ -253,10 +257,7 @@ class WaveProblem:
     def __init__(self, ctx: PrimeContext, n: int, alpha, K: int, u0: CosetFunction):
         if not isinstance(n, int) or n < 1:
             raise ConfigError(f"the dimension n must be a positive integer, got {n}")
-        if not isinstance(K, int) or K < 1:
-            raise ConfigError(
-                f"the coupling K must be a positive integer, got {K}"
-            )
+        _check_coupling(K)
         if not order_float(alpha, "the temporal order") > 0:
             raise ConfigError(f"the temporal order must be positive, got {alpha}")
         if u0.ctx != ctx or u0.n != n:

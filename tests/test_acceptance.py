@@ -102,6 +102,19 @@ def test_a_route_that_returns_nan_fails_its_check(module, route, replacement, ch
     assert "nan" in r.detail
 
 
+def _leaky_spectral(prob, L):
+    grid = prob.u0.grid
+    return solver.SolutionSlice(L, CosetFunction(grid, [1e-13] + [0] * (len(grid) - 1)))
+
+
+def test_uniqueness_fails_on_any_nonzero_value(monkeypatch):
+    # 1e-13 is under LEAK_TOL, but zero data must stay exactly zero
+    monkeypatch.setattr(acceptance, "solve_spectral", _leaky_spectral)
+    r = acceptance.check_uniqueness()
+    assert not r.passed, r.detail
+    assert "1.000e-13" in r.detail
+
+
 def _reference_ball_sum_1d(ctx, gamma, xi):
     """The 1-dim coset sum with one Fraction phase {xi*x}_p per representative."""
     e = vector_norm_exponent((xi,), ctx.p)

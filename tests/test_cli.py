@@ -327,9 +327,19 @@ def _broken_table(path: Path, edit: str) -> Path:
         table = path / "u0.json"
         table.write_text("{")
         return table
-    if edit == "no-re":
+    if edit in ("no-re", "saved", "short", "no-values", "M-text", "list"):
+        # the 27-coset p = 3 table, as saved or edited
         doc = json.loads((GOLDEN / "table-p3-n1-M2-ell1.json").read_text())
-        del doc["values"][0]["re"]
+        if edit == "no-re":
+            del doc["values"][0]["re"]
+        elif edit == "short":
+            del doc["values"][0]
+        elif edit == "no-values":
+            del doc["values"]
+        elif edit == "M-text":
+            doc["M"] = "2"
+        elif edit == "list":
+            doc = doc["values"]
     elif edit in ("infinity", "nan", "bool"):
         # a zero-mean complex n=2 table, whose numbers JSON may write as
         # Infinity, NaN or true
@@ -396,6 +406,12 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"tolerances": {"eigen": 1e-10}}, []),
         ({"sweep": [1, 1]}, []),
         ({}, ["--sweep", "1,1"]),
+        ({"K": 2000, "profile_points": ["1/2"]}, []),
+        ({"p": 5, "u0_spec": "TABLE:saved"}, []),
+        ({"p": 3, "u0_spec": "TABLE:short"}, []),
+        ({"p": 3, "u0_spec": "TABLE:no-values"}, []),
+        ({"p": 3, "u0_spec": "TABLE:M-text"}, []),
+        ({"p": 3, "u0_spec": "TABLE:list"}, []),
     ],
     ids=[
         "p", "alpha", "sweep", "n", "sweep-flag", "table-entry",
@@ -407,7 +423,8 @@ def _broken_table(path: Path, edit: str) -> Path:
         "alpha-overflow", "beta-overflow", "sphere-indicator-huge", "sphere-indicator-tiny",
         "eigen-huge", "n-huge", "p-beyond-exact-primality", "K-literal-past-int-limit",
         "eigen-float-C-huge", "eigen-N-past-float", "eigen-K-past-float", "tolerance-unknown",
-        "sweep-repeated", "sweep-flag-repeated",
+        "sweep-repeated", "sweep-flag-repeated", "profile-weights-huge", "table-other-p",
+        "table-short", "table-no-values", "table-M-text", "table-list",
     ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):
@@ -570,6 +587,26 @@ def test_cli_import_leaves_the_fourier_layer_and_the_suite_unloaded():
         "padicwave.acceptance", "padicwave.vladimirov", "padicwave.fourier", "padicwave.phases"
     ):
         assert module not in loaded
+
+
+def test_a_solve_keeps_no_table_once_its_problem_is_dropped():
+    # the 15,625-coset problem of `solve --p 5 --n 2` at every auto-swept label, in a
+    # fresh process so that no earlier test has filled a cache before tracing starts
+    proc = _run_python(
+        "import gc, tracemalloc\n"
+        "from padicwave import cli, functions, solver\n"
+        "tracemalloc.start()\n"
+        "cfg = {key: setting[2] for key, setting in cli.SETTINGS.items()}\n"
+        "prob = cli._build_problem({**cfg, 'p': 5, 'n': 2})\n"
+        "for L in solver.auto_time_sweep(prob):\n"
+        "    solver.solve_averaging(prob, L)\n"
+        "del prob\n"
+        "gc.collect()\n"
+        "kept = tracemalloc.take_snapshot().filter_traces(\n"
+        "    [tracemalloc.Filter(True, functions.__file__)])\n"
+        "print(sum(trace.size for trace in kept.traces))\n"
+    )
+    assert int(proc.stdout) < 64 * 1024
 
 
 def test_checks_without_transforms_leave_the_operator_layers_unloaded():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -159,6 +160,22 @@ def test_radial_profile_rejects_angular_dependence():
         radial_profile(CosetFunction(grid, values))
 
 
+@pytest.mark.parametrize("shift, radial", [(5e-13, True), (1e-11, False)])
+def test_radial_profile_of_a_complex_table_allows_rounding_only(shift, radial):
+    # values on one sphere may differ by 1e-12 times max(1, the largest magnitude)
+    ctx = PrimeContext(3)
+    f = ball_indicator(ctx, 1, 0, 1, 1)
+    values = [complex(v) for v in f.values]
+    values[-1] += shift  # the last coset shares the sphere |x| = 3 with five others
+    table = CosetFunction(f.grid, values)
+    if radial:
+        r = radial_profile(table)
+        assert not r.exact and r.core_value == 1 and r.value_at_exponent(1) == 0
+    else:
+        with pytest.raises(NonRadialError, match=r"\|x\| = p\*\*1"):
+            radial_profile(table)
+
+
 def test_embed_constant_is_a_ball_indicator():
     ctx = PrimeContext(3)
     r = RadialShellFunction(ctx=ctx, core_value=Fraction(7), shells=(), shell_lo=1)
@@ -238,6 +255,20 @@ def test_json_round_trip_is_exact(tmp_path):
     path = tmp_path / "table.json"
     save_coset_function(f, path)
     assert equal_exact(load_coset_function(path), f)
+
+
+def test_a_transform_with_irrational_values_saves_and_loads_as_complex(tmp_path):
+    from padicwave.fourier import forward
+
+    # the indicator of 1 + 3Z_3 has the cube roots of unity over 3 as its transform
+    f_hat = forward(CosetFunction.from_values(PrimeContext(3), 1, 0, 1, {1: 1}))
+    assert f_hat.kind == "phase"
+    assert any(v.as_rational() is None for v in f_hat.values if not isinstance(v, Fraction))
+    path = tmp_path / "transform.json"
+    save_coset_function(f_hat, path)
+    back = load_coset_function(path)
+    assert back.kind == COMPLEX
+    assert back.cells == tuple(map(complex, f_hat.values))
 
 
 def test_loader_names_a_coset_listed_twice():
@@ -352,3 +383,18 @@ def test_radial_weights_equal_the_fourier_route(p, n, M, ell):
             got = CosetAverages(h).radial(wf.__getitem__)
             assert got.kind == "complex"
             assert max_abs_diff(got, inverse(multiply_radial(h_hat, wf.__getitem__))) <= 1e-12
+
+
+@pytest.mark.parametrize("p, n, M, ell", [*_grid_shapes(), (2, 3, 1, 1), (3, 3, 0, 1)])
+def test_spread_repeats_each_coset_value_over_the_cosets_it_holds(p, n, M, ell):
+    avg = CosetAverages(_rng_table(5, PrimeContext(p), n, M, ell))
+    for hi in range(-M, ell + 1):
+        side = p ** (M + hi)
+        coords = list(itertools.product(range(side), repeat=n))  # row-major, as the grid
+        # the level -M - 1 sentinel is one coset, spread like level -M
+        assert list(avg._spread(iter([5]), -M - 1, hi)) == [5] * len(coords)
+        for lo in range(-M, hi + 1):
+            q, per_side = p ** (hi - lo), p ** (M + lo)
+            want = [sum(a // q * per_side**k for k, a in enumerate(reversed(c))) for c in coords]
+            # the level-lo coset ids, passed as an iterator: each is repeated, not grouped
+            assert list(avg._spread(iter(range(per_side**n)), lo, hi)) == want

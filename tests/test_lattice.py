@@ -112,6 +112,13 @@ def test_grid_cap_env_override(monkeypatch):
     enumerate_cosets(PrimeContext(2), 1, 1, 1)  # 4 points, still fine
 
 
+@pytest.mark.parametrize("raw, message", [("x", "must be an integer"), ("0", "must be positive")])
+def test_grid_cap_env_must_be_a_positive_integer(raw, message, monkeypatch):
+    monkeypatch.setenv("PADICWAVE_GRID_CAP", raw)
+    with pytest.raises(ConfigError, match=f"PADICWAVE_GRID_CAP {message}"):
+        enumerate_cosets(PrimeContext(2), 1, 1, 1)
+
+
 def test_grid_cap_refuses_a_huge_dimension_without_building_the_count():
     # p**(n*W) would have 30 million bits; the refusal names it as a power
     with pytest.raises(GridCapError, match=r"2\*\*30000000 points"):

@@ -269,6 +269,23 @@ def test_wave_problem_validation():
         WaveProblem(ctx=ctx, n=1, alpha=1, K=1, u0=ball_indicator(ctx, 1, 0))
 
 
+COUPLING_ENTRY_POINTS = {
+    "multiplier": lambda ctx, u0, K: PropagationMultiplier(ctx, K),
+    "eigenfunction": lambda ctx, u0, K: eigenfunction(0, Fraction(1), K, ctx),
+    "problem": lambda ctx, u0, K: WaveProblem(ctx=ctx, n=1, alpha=1, K=K, u0=u0),
+}
+
+
+@pytest.mark.parametrize("K", [0, -1, 1.5, True], ids=["zero", "negative", "fractional", "bool"])
+@pytest.mark.parametrize("entry", list(COUPLING_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_coupling_that_is_not_a_positive_integer(entry, K):
+    # True would pass as K = 1 if the rule accepted every int
+    ctx = PrimeContext(2)
+    u0 = eigen_data(ctx, 0, Fraction(1), 1)
+    with pytest.raises(ConfigError, match="coupling K must be a positive integer"):
+        COUPLING_ENTRY_POINTS[entry](ctx, u0, K)
+
+
 # -- the averaging route against the spectral oracle ---------------------------
 
 
