@@ -163,6 +163,17 @@ def _complex_columns(c: complex) -> str:
     return f"{_fmt_float(c.real)},{_fmt_float(c.imag)},,"
 
 
+def _coordinate_text(p: int, M: int):
+    """A writer of each digit coordinate a as str(a * p**-M), with one gcd and no Fraction."""
+    num, den = (1, p**M) if M > 0 else (p**-M, 1)
+
+    def text(a: int) -> str:
+        g = math.gcd(a, den)
+        return str(a * num // g) if g == den else f"{a // g}/{den // g}"
+
+    return text
+
+
 def _read_config(path: str | None) -> dict:
     """The config document at path, each key a setting; {} without one."""
     if path is None:
@@ -310,7 +321,7 @@ def _write_slice_csv(path: Path, field: CosetFunction) -> None:
     else:
         columns = map(_complex_columns, field.complex_values())
     header = [f"x{i}" for i in range(field.n)] + ["re", "im", "num", "den"]
-    rows = zip(field.grid.coordinates(str), columns)
+    rows = zip(field.grid.coordinates(_coordinate_text(field.ctx.p, field.support_exp)), columns)
     _write_csv(path, header, (f"{','.join(xs)},{cols}" for xs, cols in rows))
 
 

@@ -53,10 +53,10 @@ def _value_kind(values) -> str:
     return COMPLEX if COMPLEX in kinds else PHASE if PHASE in kinds else RATIONAL
 
 
-def _over_common_den(values) -> tuple[int, list[int]]:
+def _over_common_den(values) -> tuple[int, tuple[int, ...]]:
     """Exact rationals as integer numerators over their least common denominator."""
     den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 class CosetFunction:
@@ -67,24 +67,24 @@ class CosetFunction:
     ``cells`` holds a rational table's numerators over ``den``, or the values.
     """
 
-    __slots__ = ("grid", "kind", "den", "cells", "_values")
+    __slots__ = ("grid", "kind", "den", "cells")
 
     def __init__(self, grid: CosetGrid, values, den: int | None = None):
-        values = list(values)
+        values = tuple(values)
         if len(values) != len(grid):
             raise ConfigError(f"expected {len(grid)} values in grid order, got {len(values)}")
         self.kind = RATIONAL if den is not None else _value_kind(values)
         if den is not None:  # in lowest terms: the least common denominator
-            g = math.gcd(den, *values)
+            g = math.gcd(den, math.gcd(*values))  # gcd(*values) reads the tuple, uncopied
             if g > 1:
-                den, values = den // g, [v // g for v in values]
+                den, values = den // g, tuple(v // g for v in values)
         elif self.kind == RATIONAL:
             den, values = _over_common_den(values)
         elif self.kind == COMPLEX:
-            values = [v if type(v) is complex else complex(v) for v in values]
+            values = tuple(v if type(v) is complex else complex(v) for v in values)
         else:
-            values = [Fraction(v) if type(v) is int else v for v in values]
-        self.grid, self.den, self.cells, self._values = grid, den, tuple(values), None
+            values = tuple(Fraction(v) if type(v) is int else v for v in values)
+        self.grid, self.den, self.cells = grid, den, values
 
     # -- construction -----------------------------------------------------
 
@@ -118,11 +118,9 @@ class CosetFunction:
 
     @property
     def values(self) -> tuple:
-        """The values in grid order (Fractions for a rational table), built on first use."""
-        if self._values is None:
-            den = self.den
-            self._values = tuple(Fraction(v, den) for v in self.cells) if den else self.cells
-        return self._values
+        """The values in grid order (Fractions for a rational table), built on each read."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.cells) if den else self.cells
 
     def complex_values(self):
         """The values as complex numbers in grid order (num / den rounds as float(Fraction))."""

@@ -17,7 +17,6 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConfigError, GridCapError
 from .padic import NEG_INF, PrimeContext, rational_valuation
@@ -69,20 +68,22 @@ def _require_dimension(n: int) -> None:
 class CosetGrid:
     """The cosets of B_M^n modulo B_{-ell}^n, in grid order.
 
-    A grid holds only its shape; its digit coordinates, norm exponents and
-    representatives are built on first use and kept.  Treat as immutable.
-    Two grids are equal, and hash alike, when their (ctx, n, support_exp,
-    resolution_exp) are: those fix the cosets and their order.
+    A grid holds only its shape; its one-dimensional order, digit
+    coordinates, norm exponents and representatives are built on first use
+    and kept, so they go with the grid.  Treat as immutable.  Two grids are
+    equal when their (ctx, n, support_exp, resolution_exp) are: those fix
+    the cosets and their order.
     """
 
-    __slots__ = ("ctx", "n", "support_exp", "resolution_exp", "_digits", "_norms", "_reps")
+    __slots__ = ("ctx", "n", "support_exp", "resolution_exp",
+                 "_order", "_digits", "_norms", "_reps")
 
     def __init__(self, ctx: PrimeContext, n: int, support_exp: int, resolution_exp: int):
         self.ctx = ctx
         self.n = n
         self.support_exp = support_exp
         self.resolution_exp = resolution_exp
-        self._digits = self._norms = self._reps = None
+        self._order = self._digits = self._norms = self._reps = None
 
     def _key(self) -> tuple:
         return (self.ctx, self.n, self.support_exp, self.resolution_exp)
@@ -91,9 +92,6 @@ class CosetGrid:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def coset_volume(self) -> Fraction:
@@ -106,15 +104,20 @@ class CosetGrid:
         """Each coset's n coordinates, in grid order, as an iterator of tuples.
 
         A coordinate is its digit coordinate a = x * p**M, an integer in
-        [0, p**W) with W = M + ell, or render(x) when render is given.  Grid
+        [0, p**W) with W = M + ell, or render(a) when render is given.  Grid
         order is the n-fold product of the one-dimensional ``digit_reversal``
-        order, so render runs once for each of the p**W values of x.
+        order, so render runs once for each of the p**W values of a.
         """
-        one_d = digit_reversal(self.ctx.p, self.support_exp + self.resolution_exp)
+        one_d = self._one_d_order()
         if render is not None:
-            scale = Fraction(self.ctx.p) ** -self.support_exp
-            one_d = [render(a * scale) for a in one_d]
+            one_d = list(map(render, one_d))
         return itertools.product(one_d, repeat=self.n)
+
+    def _one_d_order(self) -> tuple[int, ...]:
+        """The one-dimensional grid order, ``digit_reversal`` of width W, built once."""
+        if self._order is None:
+            self._order = digit_reversal(self.ctx.p, self.support_exp + self.resolution_exp)
+        return self._order
 
     @property
     def digits(self) -> tuple[tuple[int, ...], ...]:
@@ -127,7 +130,8 @@ class CosetGrid:
     def representatives(self) -> tuple[tuple[Fraction, ...], ...]:
         """Each coset's representative, the n-vector of x_j = a_j * p**-M, in grid order."""
         if self._reps is None:
-            self._reps = tuple(self.coordinates(Fraction))
+            scale = Fraction(self.ctx.p) ** -self.support_exp
+            self._reps = tuple(self.coordinates(lambda a: a * scale))
         return self._reps
 
     @property
@@ -140,7 +144,7 @@ class CosetGrid:
         if self._norms is None:
             M, width = self.support_exp, self.support_exp + self.resolution_exp
             val = digit_valuations(self.ctx.p, width)  # v_p(0) = width: below any a != 0
-            norms = one_d = [M - val[a] for a in digit_reversal(self.ctx.p, width)]
+            norms = one_d = [M - val[a] for a in self._one_d_order()]
             for _ in range(self.n - 1):
                 norms = [e if e > d else d for e in norms for d in one_d]
             self._norms = (NEG_INF, *norms[1:])  # position 0 is the origin coset
@@ -231,13 +235,9 @@ def enumerate_cosets(
     if far or count > cap:
         shown = f"{ctx.p}**{power}" + ("" if far else f" = {count}")
         raise GridCapError(f"coset grid would hold {shown} points, above the cap of {cap}")
-    return _grid(ctx, n, support_exp, resolution_exp)
+    return CosetGrid(ctx, n, support_exp, resolution_exp)
 
 
-_grid = lru_cache(maxsize=128)(CosetGrid)
-
-
-@lru_cache(maxsize=64)
 def digit_reversal(p: int, width: int) -> tuple[int, ...]:
     """The width-digit base-p reversal of each integer in [0, p**width).
 
@@ -252,7 +252,6 @@ def digit_reversal(p: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
 def digit_valuations(p: int, width: int) -> tuple[int, ...]:
     """v_p(a) for each integer a in [0, p**width), with width standing for v_p(0)."""
     val = [0] * p**width

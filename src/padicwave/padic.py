@@ -63,7 +63,7 @@ class PrimeContext:
     """Fixes the prime p for every operation downstream; treat as immutable.
 
     Two contexts are equal, and hash alike, when their primes are: a context
-    keys the grid cache and is compared wherever two tables meet.
+    is compared wherever two tables meet.
     """
 
     __slots__ = ("p",)

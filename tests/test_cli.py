@@ -553,6 +553,14 @@ def test_write_csv_writes_the_bytes_csv_writer_writes(header, rows, tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "p, width, M", [(97, 2, 1), (97, 2, 2), (3, 5, 2), (2, 6, -1), (5, 3, 0), (2, 7, 7)]
+)
+def test_coordinate_text_writes_what_str_of_the_fraction_writes(p, width, M):
+    text, scale = cli._coordinate_text(p, M), Fraction(p) ** -M
+    assert [text(a) for a in range(p**width)] == [str(a * scale) for a in range(p**width)]
+
+
 def test_near_integer_exact_ratio_is_refused(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": "1/3", "beta": "1000000000001/1000000000000"}))
@@ -607,6 +615,31 @@ def test_a_solve_keeps_no_table_once_its_problem_is_dropped():
         "print(sum(trace.size for trace in kept.traces))\n"
     )
     assert int(proc.stdout) < 64 * 1024
+
+
+def test_a_solve_leaves_no_grid_table_behind():
+    # a radial 59,049-coset datum (p = 3, M = ell = 5) of zero mean, solved at every
+    # auto-swept label; its grid's digit order and norms must go with the problem
+    proc = _run_python(
+        "import gc, tracemalloc\n"
+        "from fractions import Fraction\n"
+        "from padicwave import functions, lattice, solver\n"
+        "from padicwave.padic import PrimeContext\n"
+        "tracemalloc.start()\n"
+        "ctx, shells = PrimeContext(3), tuple(map(Fraction, range(1, 11)))\n"
+        "core = -functions.RadialShellFunction(ctx, 0, shells, -4).integrate(1) * 3**5\n"
+        "u0 = functions.embed_radial(functions.RadialShellFunction(ctx, core, shells, -4), 5, 5)\n"
+        "prob = solver.WaveProblem(ctx, 1, 1, 2, u0)\n"
+        "for L in solver.auto_time_sweep(prob):\n"
+        "    solver.solve_averaging(prob, L)\n"
+        "print(len(u0.grid))\n"
+        "del u0, prob\n"
+        "gc.collect()\n"
+        "kept = tracemalloc.take_snapshot().filter_traces(\n"
+        "    [tracemalloc.Filter(True, lattice.__file__)])\n"
+        "print(len(kept.traces))\n"
+    )
+    assert proc.stdout.split() == ["59049", "0"]
 
 
 def test_checks_without_transforms_leave_the_operator_layers_unloaded():

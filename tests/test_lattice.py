@@ -99,6 +99,13 @@ def test_enumerate_cosets_small_grids():
     assert len(enumerate_cosets(PrimeContext(2), 0, 1, 2)) == 4
 
 
+def test_each_grid_is_new_and_equals_any_grid_of_its_shape():
+    a, b = (enumerate_cosets(PrimeContext(3), 1, 2, 2) for _ in range(2))
+    assert a is not b and a == b
+    assert a != enumerate_cosets(PrimeContext(3), 2, 1, 2)
+    assert a.norm_exponents == b.norm_exponents
+
+
 def test_grid_cardinality_rejects_negative_width():
     with pytest.raises(ConfigError):
         enumerate_cosets(PrimeContext(2), 0, -1, 1)

@@ -96,9 +96,9 @@ def reference_convolution(prob, L):
     return values
 
 
-def _evaluate_extended(f, vec, background):
-    i = f.grid.position(vec)
-    return background if i is None else f.values[i]
+def _evaluate_extended(grid, values, vec, background):
+    i = grid.position(vec)
+    return background if i is None else values[i]
 
 
 def reference_hypersingular(params, f, x, background=Fraction(0)):
@@ -109,7 +109,8 @@ def reference_hypersingular(params, f, x, background=Fraction(0)):
     e_x = vector_norm_exponent(vec, p)
     gamma_top = f.support_exp if e_x == NEG_INF else max(f.support_exp, int(e_x))
     ell = f.resolution_exp
-    fx = _evaluate_extended(f, vec, background)
+    values = f.values  # built on each read, so read once
+    fx = _evaluate_extended(f.grid, values, vec, background)
     coset_vol = Fraction(p) ** (-n * ell)
     total = Fraction(0)
     for gamma in range(-ell + 1, gamma_top + 1):
@@ -119,7 +120,8 @@ def reference_hypersingular(params, f, x, background=Fraction(0)):
         else:
             shell_w = shell_w * float(p) ** (-gamma * n) * float(coset_vol)
         for yrep in sphere_representatives(ctx, gamma, ell, n):
-            fy = _evaluate_extended(f, tuple(a - b for a, b in zip(vec, yrep)), background)
+            y = tuple(a - b for a, b in zip(vec, yrep))
+            fy = _evaluate_extended(f.grid, values, y, background)
             diff = _add(fy, _scale(fx, -1))
             total = _add(total, _scale(diff, shell_w))
     a = params.power_of_p(-(gamma_top + 1))
