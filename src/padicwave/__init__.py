@@ -61,7 +61,6 @@ _MODULE_OF = {
     "max_abs_diff": "functions",
     "norm_exact": "padic",
     "norm_exponent": "padic",
-    "padic_norm": "padic",
     "radial_inverse": "fourier",
     "radial_profile": "functions",
     "regrid": "functions",
@@ -71,10 +70,8 @@ _MODULE_OF = {
     "solve_convolution": "solver",
     "solve_spectral": "solver",
     "sphere_character_integral": "lattice",
-    "sphere_indicator": "functions",
     "sphere_representatives": "lattice",
     "sphere_volume": "lattice",
-    "subtract": "functions",
     "time_profile": "solver",
     "translate": "functions",
     "valuation": "padic",

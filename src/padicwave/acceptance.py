@@ -49,7 +49,7 @@ from .solver import (
     T_ZERO,
     WaveProblem,
     auto_time_sweep,
-    eigenfunction,
+    eigen_table,
     kernel_closed_form,
     kernel_oracle,
     l1_bound_check,
@@ -162,14 +162,6 @@ def _zero_mean(f: CosetFunction) -> CosetFunction:
     return CosetFunction(f.grid, [v - shift for v in f.values])
 
 
-def _eigen_table(ctx, n, N, C, K, widen: int = 0) -> CosetFunction:
-    """The canonical eigen datum as a table, optionally on a widened grid."""
-    r = eigenfunction(N, C, K, ctx, n)
-    M = -K * N + 1 + widen
-    ell = K * N + widen
-    return embed_radial(r, M, ell, n)
-
-
 # ---------------------------------------------------------------------------
 # the eleven checks
 
@@ -279,27 +271,17 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_eigenrelation() -> CheckResult:
     """Both operator forms reproduce the eigenvalue on the canonical family."""
-    from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
+    from .vladimirov import OperatorParams, eigen_error
 
     errors = []
-    combos = 0
     for p in (2, 3, 5):
         ctx = PrimeContext(p)
         for K in (1, 2, 3):
             for N in range(-2, 3):
-                f = _eigen_table(ctx, 1, N, Fraction(1), K)
+                f = eigen_table(N, Fraction(1), K, ctx, 1, 0)
                 for alpha in (Fraction(1, 2), 1, 2):
-                    params = OperatorParams(ctx=ctx, n=1, alpha=alpha)
-                    lam = params.power_of_p(K * N)
-                    spect = apply_spectral(params, f)
-                    hyper = apply_hypersingular_field(params, f)
-                    for got in (spect, hyper):
-                        for v, w in zip(got.values, f.values):
-                            ref_c = complex(w * lam)
-                            err = abs(complex(v) - ref_c)
-                            errors.append(err / max(abs(ref_c), 1e-30))
-                    combos += 1
-    worst = nan_max(errors)
+                    errors.append(eigen_error(OperatorParams(ctx=ctx, n=1, alpha=alpha), f, K * N))
+    combos, worst = len(errors), nan_max(errors)
     passed = worst <= EIGEN_TOL
     return CheckResult(
         "eigenrelation",
@@ -389,10 +371,10 @@ def _duality_problems(seed: int = DEFAULT_SEED):
     out = []
     ctx2, ctx3 = PrimeContext(2), PrimeContext(3)
     out.append(
-        WaveProblem(ctx=ctx2, n=1, alpha=1, K=1, u0=_eigen_table(ctx2, 1, 1, Fraction(1), 1, widen=1))
+        WaveProblem(ctx=ctx2, n=1, alpha=1, K=1, u0=eigen_table(1, Fraction(1), 1, ctx2, 1, 1))
     )
     out.append(
-        WaveProblem(ctx=ctx3, n=1, alpha=Fraction(1, 2), K=2, u0=_eigen_table(ctx3, 1, 0, Fraction(2), 2, widen=1))
+        WaveProblem(ctx=ctx3, n=1, alpha=Fraction(1, 2), K=2, u0=eigen_table(0, Fraction(2), 2, ctx3, 1, 1))
     )
     out.append(
         WaveProblem(ctx=ctx2, n=2, alpha=1, K=2, u0=_zero_mean(_random_table(rng, ctx2, 2, 1, 1, True)))
@@ -462,7 +444,7 @@ def check_time_pde() -> CheckResult:
         (5, 1, 1, Fraction(1, 2)),
     ):
         ctx = PrimeContext(p)
-        u0 = _eigen_table(ctx, 1, N, Fraction(1), 1)  # transform = sphere-N indicator
+        u0 = eigen_table(N, Fraction(1), 1, ctx, 1, 0)  # transform = sphere-N indicator
         prob = WaveProblem(ctx=ctx, n=1, alpha=alpha, K=K, u0=u0)
         x = next(rep for rep, v in u0.items() if v != 0)
         profile = time_profile(prob, x)
@@ -566,7 +548,7 @@ def check_uniqueness() -> CheckResult:
 def check_refusal() -> CheckResult:
     """Incompatible operator orders are rejected with the right diagnostic."""
     ctx = PrimeContext(3)
-    u0 = _eigen_table(ctx, 1, 0, Fraction(1), 1)
+    u0 = eigen_table(0, Fraction(1), 1, ctx, 1, 0)
     try:
         WaveProblem.from_alpha_beta(ctx, 1, 1.0, 1.5, u0)
     except SpectralCompatibilityError as exc:

@@ -247,10 +247,6 @@ def scale(f: CosetFunction, c) -> CosetFunction:
     return CosetFunction(f.grid, [v * c for v in f.complex_values()])
 
 
-def subtract(f: CosetFunction, g: CosetFunction) -> CosetFunction:
-    return add(f, scale(g, Fraction(-1)))
-
-
 def translate(f: CosetFunction, a) -> CosetFunction:
     """The shifted function x -> f(x - a)."""
     vec = as_fraction_vector(a, f.n)
@@ -499,19 +495,6 @@ def ball_indicator(
     M = radius_exp if support_exp is None else support_exp
     ell = -radius_exp if resolution_exp is None else resolution_exp
     r = RadialShellFunction(ctx, Fraction(1), (), radius_exp + 1)
-    return embed_radial(r, M, ell, n)
-
-
-def sphere_indicator(
-    ctx: PrimeContext,
-    n: int,
-    radius_exp: int,
-    support_exp: int | None = None,
-    resolution_exp: int | None = None,
-) -> CosetFunction:
-    M = radius_exp if support_exp is None else support_exp
-    ell = -radius_exp + 1 if resolution_exp is None else resolution_exp
-    r = RadialShellFunction(ctx, Fraction(0), (Fraction(1),), radius_exp)
     return embed_radial(r, M, ell, n)
 
 

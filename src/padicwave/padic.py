@@ -3,9 +3,9 @@
 A rational number x != 0 factors uniquely as p**v * (a/b) with p dividing
 neither a nor b; v is the valuation and |x|_p = p**-v the norm.  Everything
 here works on exact ``fractions.Fraction`` values; a function that takes a
-scalar x with a PrimeContext also accepts an int or a str for x.  Norm
-magnitudes are only converted to floats at the caller's request; all
-control flow inside the package is driven by integer valuations.
+scalar x with a PrimeContext also accepts an int or a str for x.  A norm
+is a float only where a caller asks for one, as ``float(norm_exact(x, ctx))``;
+all control flow inside the package is driven by integer valuations.
 """
 
 from __future__ import annotations
@@ -128,18 +128,6 @@ def norm_exponent(x, ctx: PrimeContext):
     """e with |x|_p = p**e, i.e. -valuation(x); -inf for x = 0."""
     v = valuation(x, ctx)
     return NEG_INF if v == INF else -v
-
-
-def padic_norm(x, ctx: PrimeContext) -> float:
-    """|x|_p as a float.
-
-    Raises OverflowError when p**|v| exceeds the float range; callers that
-    need exactness should use norm_exact or norm_exponent instead.
-    """
-    v = valuation(x, ctx)
-    if v == INF:
-        return 0.0
-    return float(ctx.p) ** (-v)
 
 
 def canonical_digits(x, count: int, ctx: PrimeContext):

@@ -39,6 +39,7 @@ from .functions import (
     CosetAverages,
     CosetFunction,
     RadialShellFunction,
+    embed_radial,
     evaluate,
     integrate,
     is_in_Phi,
@@ -115,6 +116,12 @@ def eigenfunction(
     return RadialShellFunction(
         ctx=ctx, core_value=core * C, shells=(shell * C,), shell_lo=-K * N + 1
     )
+
+
+def eigen_table(N: int, C, K: int, ctx: PrimeContext, n: int, widen: int) -> CosetFunction:
+    """The eigenfunction of exponent N tabulated on B_(-K*N + 1 + widen) at
+    resolution K*N + widen: the smallest grid that holds it when widen is 0."""
+    return embed_radial(eigenfunction(N, C, K, ctx, n), -K * N + 1 + widen, K * N + widen, n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,15 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import ConfigError, LizorkinError
-from .functions import PHI_TOL, RATIONAL, CosetAverages, CosetFunction, integrate, is_in_Phi
+from .functions import (
+    PHI_TOL,
+    RATIONAL,
+    CosetAverages,
+    CosetFunction,
+    integrate,
+    is_in_Phi,
+    nan_max,
+)
 from .lattice import (
     as_fraction_vector,
     enumerate_cosets,
@@ -241,3 +249,18 @@ def apply_hypersingular_field(
         raise ConfigError("output support cannot be smaller than the input's")
     grid, at, den = _hypersingular(params, f, background, M)
     return CosetFunction(grid, [at(i) for i in range(len(grid))], den)
+
+
+def eigen_error(params: OperatorParams, f: CosetFunction, k) -> float:
+    """The worst relative error of both operator forms against p**(k*alpha) * f.
+
+    Each reference value is computed exactly when f and the eigenvalue are,
+    and rounded once; a nan from either form makes the result nan.
+    """
+    lam = params.power_of_p(k)
+    refs = [complex(w * lam) for w in f.values]
+    return nan_max(
+        abs(complex(v) - ref) / max(abs(ref), 1e-30)
+        for got in (apply_spectral(params, f), apply_hypersingular_field(params, f))
+        for v, ref in zip(got.values, refs)
+    )

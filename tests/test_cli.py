@@ -128,6 +128,13 @@ def test_eigen_check_passes(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--N", "-2"], ["--N", "2", "--C", "2/7"]])
+def test_eigen_check_is_exact_on_exact_data(extra, capsys):
+    # each reference is p**(K*N) * f computed exactly and rounded once, as verify does
+    assert cli.main(["eigen-check", "--p", "3", *extra]) == 0
+    assert capsys.readouterr().out.endswith("worst relative error 0.000e+00 (ok)\n")
+
+
 def test_incompatible_orders_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 1, "beta": 1.5}))
@@ -683,7 +690,8 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from padicwave import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(padicwave.__all__)
-    assert len(padicwave.__all__) == 63
+    assert len(padicwave.__all__) == 60
+    assert not {"padic_norm", "sphere_indicator", "subtract"} & set(padicwave.__all__)
     assert padicwave.forward is fourier.forward
     with pytest.raises(AttributeError):
         padicwave.no_such_name

@@ -10,6 +10,8 @@ from padicwave.fourier import forward, inverse, radial_inverse
 from padicwave.functions import (
     COMPLEX,
     CosetFunction,
+    RadialShellFunction,
+    add,
     ball_indicator,
     embed_radial,
     equal_exact,
@@ -18,8 +20,6 @@ from padicwave.functions import (
     max_abs_diff,
     radial_profile,
     scale,
-    sphere_indicator,
-    subtract,
     translate,
 )
 from padicwave.lattice import enumerate_cosets
@@ -60,7 +60,7 @@ def test_zero_mean_maps_to_zero_at_origin():
     f = CosetFunction(
         grid, [Fraction(rng.randint(-5, 5)) for _ in grid.representatives]
     )
-    g = subtract(f, translate(f, Fraction(1, 3)))
+    g = add(f, scale(translate(f, Fraction(1, 3)), Fraction(-1)))
     assert is_in_Phi(g, 0.0)
     assert is_in_Psi(forward(g), 0.0)
 
@@ -109,7 +109,8 @@ def test_sphere_spectrum_inverts_to_the_canonical_eigenfunction():
     # transform-side sphere indicator comes back as core + single shell
     for p, K, N in ((2, 1, 0), (3, 2, 1), (2, 2, -1)):
         ctx = PrimeContext(p)
-        spec = sphere_indicator(ctx, 1, K * N)
+        sphere = RadialShellFunction(ctx, Fraction(0), (Fraction(1),), K * N)
+        spec = embed_radial(sphere, K * N, -K * N + 1)
         got = inverse(spec)
         want = embed_radial(
             eigenfunction(N, Fraction(1), K, ctx), -K * N + 1, K * N, 1
@@ -127,7 +128,7 @@ def test_sphere_spectrum_inverts_to_the_canonical_eigenfunction():
 def test_radial_inverse_matches_the_grid_transform():
     # radial closed form against the full 2-dim table transform
     ctx = PrimeContext(3)
-    f = sphere_indicator(ctx, 2, 1, 1, 1)
+    f = embed_radial(RadialShellFunction(ctx, Fraction(0), (Fraction(1),), 1), 1, 1, 2)
     by_grid = radial_profile(inverse(f))
     by_formula = radial_inverse(radial_profile(f), 2)
     for gamma in range(-3, 4):
@@ -147,7 +148,7 @@ def test_transform_requires_matching_space():
     ctx = PrimeContext(2)
     f = ball_indicator(ctx, 1, 0)
     with pytest.raises(ConfigError):
-        subtract(f, ball_indicator(PrimeContext(3), 1, 0))
+        add(f, ball_indicator(PrimeContext(3), 1, 0))
 
 
 def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:

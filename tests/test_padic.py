@@ -18,7 +18,6 @@ from padicwave.padic import (
     fractional_part,
     norm_exact,
     norm_exponent,
-    padic_norm,
     rational_fractional_part,
     valuation,
 )
@@ -39,7 +38,6 @@ def test_norm_values():
     assert norm_exact(Fraction(9, 2), PrimeContext(3)) == Fraction(1, 9)
     assert norm_exact(Fraction(3, 4), PrimeContext(2)) == 4
     assert norm_exact(Fraction(0), PrimeContext(7)) == 0
-    assert padic_norm(Fraction(0), PrimeContext(7)) == 0.0
     assert norm_exponent(Fraction(0), PrimeContext(7)) == NEG_INF
 
 
@@ -147,7 +145,6 @@ def test_scalar_wrapper_round_trips_through_context():
     ctx = PrimeContext(3)
     a = Fraction(9, 2)
     assert valuation(a, ctx) == 2
-    assert padic_norm(a, ctx) == pytest.approx(1 / 9)
     assert norm_exact(a, ctx) == Fraction(1, 9)
     assert canonical_digits(a, 2, ctx) == (2, [2, 1])  # 9/2 = 9 * (1/2), 1/2 = 2 + 1*3 + ...
     assert fractional_part(a, ctx) == 0

@@ -12,13 +12,13 @@ from padicwave.fourier import forward
 from padicwave.functions import (
     COMPLEX,
     CosetFunction,
+    RadialShellFunction,
     ball_indicator,
     embed_radial,
     equal_exact,
     max_abs_diff,
     regrid,
     scale,
-    sphere_indicator,
     translate,
 )
 from padicwave.lattice import enumerate_cosets, sphere_volume, vector_norm_exponent
@@ -28,6 +28,7 @@ from padicwave.solver import (
     PropagationMultiplier,
     WaveProblem,
     auto_time_sweep,
+    eigen_table,
     eigenfunction,
     kernel_ball_integral,
     kernel_closed_form,
@@ -42,8 +43,7 @@ from padicwave.solver import (
 
 
 def eigen_data(ctx, N, C, K):
-    r = eigenfunction(N, C, K, ctx)
-    return embed_radial(r, -K * N + 1, K * N, 1)
+    return eigen_table(N, C, K, ctx, 1, 0)
 
 
 # -- propagation multiplier ---------------------------------------------------
@@ -86,11 +86,23 @@ def test_eigenfunction_table_p3_scaled_mode():
     assert r.integrate(1) == 0
 
 
+def test_a_widened_eigen_table_holds_the_same_function():
+    for p, K, N, n in ((2, 1, 1, 1), (3, 2, 0, 1), (2, 1, -1, 2)):
+        ctx = PrimeContext(p)
+        tight = eigen_table(N, Fraction(3, 5), K, ctx, n, 0)
+        wide = eigen_table(N, Fraction(3, 5), K, ctx, n, 1)
+        assert (tight.support_exp, tight.resolution_exp) == (-K * N + 1, K * N)
+        assert equal_exact(wide, regrid(tight, -K * N + 2, K * N + 1))
+    with pytest.raises(ConfigError):
+        eigen_table(1, Fraction(1), 1, ctx, 1, -1)  # too small to hold the datum
+
+
 def test_eigenfunction_transform_is_one_frequency_sphere():
     for p, K, N, C in ((2, 1, 0, Fraction(1)), (3, 2, 1, Fraction(5, 3))):
         ctx = PrimeContext(p)
         u = eigen_data(ctx, N, C, K)
-        want = scale(sphere_indicator(ctx, 1, K * N), C)
+        sphere = RadialShellFunction(ctx, Fraction(0), (Fraction(1),), K * N)
+        want = scale(embed_radial(sphere, K * N, -K * N + 1), C)
         assert equal_exact(forward(u), want)
 
 

@@ -7,23 +7,25 @@ from padicwave.errors import ConfigError, LizorkinError
 from padicwave.fourier import forward, inverse
 from padicwave.functions import (
     CosetFunction,
+    add,
     ball_indicator,
     embed_radial,
     equal_exact,
     integrate,
     max_abs_diff,
-    subtract,
+    scale,
     translate,
 )
 from padicwave.lattice import enumerate_cosets, vector_norm_exponent
 from padicwave.padic import PrimeContext
 from padicwave.phases import PhaseSum
-from padicwave.solver import eigenfunction
+from padicwave.solver import eigen_table, eigenfunction
 from padicwave.vladimirov import (
     OperatorParams,
     apply_hypersingular,
     apply_hypersingular_field,
     apply_spectral,
+    eigen_error,
 )
 
 
@@ -50,6 +52,20 @@ def test_eigenfunction_is_scaled_by_power_of_p():
         lam = Fraction(p) ** (K * alpha * N)
         want = CosetFunction(got.grid, [lam * v for v in u.values])
         assert equal_exact(got, want)
+
+
+def test_eigen_error_rounds_each_reference_once():
+    # exact data and an integral order: both forms are exact, so the error is exactly 0
+    for p, K, N, C, alpha in ((3, 1, -2, Fraction(1), 1), (3, 1, 2, Fraction(2, 7), 1),
+                              (2, 2, 1, Fraction(1), 2), (5, 3, -1, Fraction(-3, 4), 1)):
+        ctx = PrimeContext(p)
+        f = eigen_table(N, C, K, ctx, 1, 0)
+        assert eigen_error(OperatorParams(ctx, 1, alpha), f, K * N) == 0.0
+    # a fractional order rounds, and a wrong eigenvalue is seen on both forms
+    ctx = PrimeContext(3)
+    f = eigen_table(1, Fraction(1), 1, ctx, 1, 0)
+    assert 0.0 < eigen_error(OperatorParams(ctx, 1, Fraction(1, 2)), f, 1) <= 1e-15
+    assert eigen_error(OperatorParams(ctx, 1, 1), f, 2) == pytest.approx(2 / 3)
 
 
 def test_hypersingular_agrees_with_spectral_on_eigenfunctions():
@@ -117,7 +133,7 @@ def test_field_application_matches_transform_side():
     f = CosetFunction(
         grid, [Fraction(rng.randint(-4, 4)) for _ in grid.representatives]
     )
-    f = subtract(f, translate(f, Fraction(1, 2)))  # zero mean, keeps it admissible
+    f = add(f, scale(translate(f, Fraction(1, 2)), Fraction(-1)))  # zero mean, keeps it admissible
     by_field = apply_hypersingular_field(params, f, support_exp=1)
     by_spec = apply_spectral(params, f)
     assert max_abs_diff(by_field, by_spec) == 0
@@ -132,7 +148,7 @@ def test_duality_against_brute_multiplier():
     f = CosetFunction(
         grid, [Fraction(rng.randint(-3, 3)) for _ in grid.representatives]
     )
-    f = subtract(f, translate(f, (Fraction(1, 3), Fraction(0))))
+    f = add(f, scale(translate(f, (Fraction(1, 3), Fraction(0))), Fraction(-1)))
     lhs = forward(apply_spectral(params, f))
     fhat = forward(f)
     rhs_values = []
