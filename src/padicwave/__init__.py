@@ -21,7 +21,6 @@ _MODULE_OF = {
     "GridCapError": "errors",
     "LizorkinError": "errors",
     "NonRadialError": "errors",
-    "OperatorParams": "vladimirov",
     "PadicWaveError": "errors",
     "PhaseSum": "phases",
     "PrimeContext": "padic",
@@ -60,7 +59,6 @@ _MODULE_OF = {
     "load_coset_function": "functions",
     "max_abs_diff": "functions",
     "norm_exact": "padic",
-    "norm_exponent": "padic",
     "radial_inverse": "fourier",
     "radial_profile": "functions",
     "regrid": "functions",

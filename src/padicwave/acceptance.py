@@ -49,6 +49,7 @@ from .solver import (
     T_ZERO,
     WaveProblem,
     auto_time_sweep,
+    coupling,
     eigen_table,
     kernel_closed_form,
     kernel_oracle,
@@ -252,11 +253,11 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
     for p, n in ((2, 1), (3, 2)):
         ctx = PrimeContext(p)
         f = _zero_mean(_random_table(random.Random(seed + p + n), ctx, n, 1, 1, True))
-        if not (is_in_Phi(f, 0.0) and is_in_Psi(forward(f), 0.0)):
+        if not (is_in_Phi(f) and is_in_Psi(forward(f))):
             flag_fail.append(f"zero-mean table p={p} n={n}")
         grid = enumerate_cosets(ctx, 1, 1, n)
         one = CosetFunction(grid, [Fraction(1)] * len(grid))
-        if is_in_Phi(one, 0.0) or is_in_Psi(forward(one), 0.0):
+        if is_in_Phi(one) or is_in_Psi(forward(one)):
             flag_fail.append(f"constant table p={p} n={n}")
     if flag_fail:
         return CheckResult(
@@ -271,7 +272,7 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_eigenrelation() -> CheckResult:
     """Both operator forms reproduce the eigenvalue on the canonical family."""
-    from .vladimirov import OperatorParams, eigen_error
+    from .vladimirov import eigen_error
 
     errors = []
     for p in (2, 3, 5):
@@ -280,7 +281,7 @@ def check_eigenrelation() -> CheckResult:
             for N in range(-2, 3):
                 f = eigen_table(N, Fraction(1), K, ctx, 1, 0)
                 for alpha in (Fraction(1, 2), 1, 2):
-                    errors.append(eigen_error(OperatorParams(ctx=ctx, n=1, alpha=alpha), f, K * N))
+                    errors.append(eigen_error(alpha, f, K * N))
     combos, worst = len(errors), nan_max(errors)
     passed = worst <= EIGEN_TOL
     return CheckResult(
@@ -293,7 +294,7 @@ def check_eigenrelation() -> CheckResult:
 def check_operator_duality(seed: int = DEFAULT_SEED) -> CheckResult:
     """Averaging, Fourier and hypersingular forms agree on zero-mean tables; exact if rational."""
     from .fourier import forward, inverse, multiply_radial
-    from .vladimirov import OperatorParams, apply_hypersingular_field, apply_spectral
+    from .vladimirov import apply_hypersingular_field, apply_spectral, symbol
 
     rng = random.Random(seed + 1)
     shapes = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1), (3, 1, 0, 2), (5, 1, 1, 1)]
@@ -305,10 +306,9 @@ def check_operator_duality(seed: int = DEFAULT_SEED) -> CheckResult:
         ctx = PrimeContext(p)
         f = _zero_mean(_random_table(rng, ctx, n, M, ell, True))
         alpha = alphas[i % len(alphas)]
-        params = OperatorParams(ctx=ctx, n=n, alpha=alpha)
-        spect = apply_spectral(params, f)
-        for g in (inverse(multiply_radial(forward(f), params.symbol)),
-                  apply_hypersingular_field(params, f)):
+        spect = apply_spectral(alpha, f)
+        for g in (inverse(multiply_radial(forward(f), symbol(p, alpha))),
+                  apply_hypersingular_field(alpha, f)):
             if spect.kind != COMPLEX and not equal_exact(spect, g):
                 return CheckResult("operator-duality", False, f"input {i}: the routes differ")
             gaps.append(max_abs_diff(spect, g))
@@ -432,7 +432,7 @@ def check_time_pde() -> CheckResult:
     With spectral data on the sphere |xi| = p**N, the temporal operator of
     order alpha acting on t -> u(t, x) must multiply it by p**(K*alpha*N).
     """
-    from .vladimirov import OperatorParams, apply_spectral
+    from .vladimirov import apply_spectral, power_of_p
 
     errors = []
     combos = 0
@@ -450,9 +450,8 @@ def check_time_pde() -> CheckResult:
         profile = time_profile(prob, x)
         lo, hi = profile.shell_lo, profile.shell_hi
         table = embed_radial(profile, hi, 1 - lo, 1)
-        params = OperatorParams(ctx=ctx, n=1, alpha=alpha)
-        applied = apply_spectral(params, table)
-        lam = params.power_of_p(K * N)
+        applied = apply_spectral(alpha, table)
+        lam = power_of_p(p, alpha, K * N)
         lam_c = complex(float(lam), 0.0) if isinstance(lam, Fraction) else complex(lam)
         scale_ref = max(map(abs, table.complex_values()), default=1.0)
         for v, w in zip(applied.complex_values(), table.complex_values()):
@@ -550,11 +549,11 @@ def check_refusal() -> CheckResult:
     ctx = PrimeContext(3)
     u0 = eigen_table(0, Fraction(1), 1, ctx, 1, 0)
     try:
-        WaveProblem.from_alpha_beta(ctx, 1, 1.0, 1.5, u0)
+        WaveProblem(ctx=ctx, n=1, alpha=1.0, K=coupling(1.0, 1.5), u0=u0)
     except SpectralCompatibilityError as exc:
         msg = str(exc)
         if "zero" in msg and "1.5" in msg:
-            ok = WaveProblem.from_alpha_beta(ctx, 1, 0.5, 1.5, u0)
+            ok = WaveProblem(ctx=ctx, n=1, alpha=0.5, K=coupling(0.5, 1.5), u0=u0)
             if ok.K == 3:
                 return CheckResult(
                     "refusal-path", True, "non-integer ratio refused, integer ratio accepted"

@@ -464,14 +464,14 @@ def cmd_kernel_table(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_eigen_check(cfg: dict, args: argparse.Namespace) -> int:
-    from .vladimirov import OperatorParams, eigen_error
+    from .vladimirov import eigen_error, validate_order
 
     p, n, K, alpha, N = cfg["p"], cfg["n"], cfg["K"], cfg["alpha"], args.N
     ctx = PrimeContext(p)
     C = _parse_number(args.C)
-    params = OperatorParams(ctx=ctx, n=n, alpha=alpha)
+    validate_order(p, alpha)  # first: a negative alpha would shrink the size estimate
     _refuse_large_eigen_datum(f"eigen-check with N={N} C={args.C}", p, n, K * N, C, alpha)
-    worst = eigen_error(params, eigen_table(N, C, K, ctx, n, 0), K * N)
+    worst = eigen_error(alpha, eigen_table(N, C, K, ctx, n, 0), K * N)
     ok = worst <= EIGEN_TOL
     print(
         f"eigen-check p={p} n={n} K={K} N={N} alpha={alpha}: "

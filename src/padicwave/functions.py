@@ -187,22 +187,22 @@ def l1_norm(f: CosetFunction):
     return reduce(float.__add__, map(abs, f.complex_values()), 0.0) * float(vol)
 
 
-def is_in_Psi(f: CosetFunction, tol: float = 0.0) -> bool:
+def is_in_Psi(f: CosetFunction) -> bool:
     """Vanishing at the origin: the value on the coset containing 0."""
     v = _cell_value(f, 0)
-    return abs(v if isinstance(v, Fraction) else complex(v)) <= tol
+    return abs(v if isinstance(v, Fraction) else complex(v)) <= 0.0
 
 
-def is_in_Phi(f: CosetFunction, tol: float = PHI_TOL) -> bool:
+def is_in_Phi(f: CosetFunction) -> bool:
     """Vanishing mean, judged exactly for a rational table.
 
-    Any other table passes when |integral| <= tol * max(1, ||f||_1), so the
-    test scales with the data.
+    Any other table passes when |integral| <= PHI_TOL * max(1, ||f||_1), so
+    the test scales with the data.
     """
     s = integrate(f)
     if f.kind == RATIONAL:
         return s == 0
-    return abs(s) <= tol * max(1.0, l1_norm(f))
+    return abs(s) <= PHI_TOL * max(1.0, l1_norm(f))
 
 
 # -- pointwise algebra ------------------------------------------------------

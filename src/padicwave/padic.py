@@ -18,7 +18,7 @@ from .errors import ConfigError
 
 #: Extended-integer infinity used for valuation(0).
 INF = math.inf
-#: Extended-integer negative infinity used for norm_exponent(0).
+#: Extended-integer negative infinity, the norm exponent of 0: -valuation(0).
 NEG_INF = -math.inf
 
 
@@ -122,12 +122,6 @@ def norm_exact(x, ctx: PrimeContext) -> Fraction:
     if v == INF:
         return Fraction(0)
     return Fraction(ctx.p) ** (-v)
-
-
-def norm_exponent(x, ctx: PrimeContext):
-    """e with |x|_p = p**e, i.e. -valuation(x); -inf for x = 0."""
-    v = valuation(x, ctx)
-    return NEG_INF if v == INF else -v
 
 
 def canonical_digits(x, count: int, ctx: PrimeContext):

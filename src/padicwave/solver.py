@@ -284,11 +284,6 @@ class WaveProblem:
     def beta(self):
         return self.K * self.alpha
 
-    @classmethod
-    def from_alpha_beta(cls, ctx, n, alpha, beta, u0) -> "WaveProblem":
-        """Construct from raw operator orders, with K = ``coupling(alpha, beta)``."""
-        return cls(ctx=ctx, n=n, alpha=alpha, K=coupling(alpha, beta), u0=u0)
-
     @cached_property
     def averages(self) -> CosetAverages:
         """The coset averages of the data, built once per problem."""

@@ -11,7 +11,8 @@ Two independent routes compute the same thing:
   with the infinite outer tail summed as an exact geometric series.
 
 Keeping both honest against each other is the main correctness story for
-everything built on top.
+everything built on top.  The space is the table's: each form takes the
+order alpha and reads p and n from f.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .lattice import (
     enumerate_cosets,
     vector_norm_exponent,
 )
-from .padic import NEG_INF, PrimeContext, order_float
+from .padic import NEG_INF, order_float
 
 
 def _integral_order(alpha) -> int | None:
@@ -49,64 +50,46 @@ def _integral_order(alpha) -> int | None:
     return None
 
 
-class OperatorParams:
-    """Order and ambient dimension of one fractional operator instance; treat as immutable."""
-
-    __slots__ = ("ctx", "n", "alpha")
-
-    def __init__(self, ctx: PrimeContext, n: int, alpha):
-        if n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {n}")
-        order = order_float(alpha, "the operator order")
-        if not order > 0:
-            raise ConfigError(f"the operator order must be positive, got {alpha}")
-        if float(ctx.p) ** -order == 1.0:  # the tail weight divides by 1 - p**-alpha
-            raise ConfigError(f"the operator order {alpha} is too small for a float: "
-                              "p**-alpha rounds to 1")
-        self.ctx = ctx
-        self.n = n
-        self.alpha = alpha  # positive int, Fraction, or float
-
-    def power_of_p(self, exponent_times_alpha):
-        """p**(k*alpha) exactly when alpha is integral, as float otherwise."""
-        a = _integral_order(self.alpha)
-        k = exponent_times_alpha
-        if a is not None:
-            return Fraction(self.ctx.p) ** (k * a)
-        return float(self.ctx.p) ** (k * float(self.alpha))
-
-    def symbol(self, N):
-        """|xi|**alpha on the sphere |xi| = p**N, and 0 at the origin (N = -inf)."""
-        return Fraction(0) if N == NEG_INF else self.power_of_p(N)
-
-    def prefactor(self):
-        """(1 - p**alpha) / (1 - p**(-alpha-n)), exact when alpha is integral."""
-        p, n = self.ctx.p, self.n
-        a = _integral_order(self.alpha)
-        if a is not None:
-            return (1 - Fraction(p) ** a) / (1 - Fraction(p) ** (-a - n))
-        af = float(self.alpha)
-        return (1.0 - float(p) ** af) / (1.0 - float(p) ** (-af - n))
+def validate_order(p: int, alpha) -> None:
+    """Refuse an operator order that is not positive or that a float cannot carry."""
+    order = order_float(alpha, "the operator order")
+    if not order > 0:
+        raise ConfigError(f"the operator order must be positive, got {alpha}")
+    if float(p) ** -order == 1.0:  # the tail weight divides by 1 - p**-alpha
+        raise ConfigError(f"the operator order {alpha} is too small for a float: "
+                          "p**-alpha rounds to 1")
 
 
-def apply_spectral(params: OperatorParams, f: CosetFunction) -> CosetFunction:
+def power_of_p(p: int, alpha, k):
+    """p**(k*alpha) exactly when alpha is integral, as float otherwise."""
+    a = _integral_order(alpha)
+    if a is not None:
+        return Fraction(p) ** (k * a)
+    return float(p) ** (k * float(alpha))
+
+
+def symbol(p: int, alpha):
+    """The weight N -> |xi|**alpha on the sphere |xi| = p**N, 0 at the origin (N = -inf)."""
+    return lambda N: Fraction(0) if N == NEG_INF else power_of_p(p, alpha, N)
+
+
+def apply_spectral(alpha, f: CosetFunction) -> CosetFunction:
     """Multiply the transform by |xi|**alpha and come back, on coset averages.
 
     The input must have zero mean (Lizorkin condition); otherwise the
     operator has no consistent spectral meaning on tables and this raises
     LizorkinError.
     """
-    if f.ctx != params.ctx or f.n != params.n:
-        raise ConfigError("operator and function live on different spaces")
+    validate_order(f.ctx.p, alpha)
     if not is_in_Phi(f):
         raise LizorkinError(
             f"input is not in the zero-mean (Lizorkin) class: integral = "
             f"{complex(integrate(f)):.3e} exceeds tol {PHI_TOL:g}"
         )
-    return CosetAverages(f).radial(params.symbol)
+    return CosetAverages(f).radial(symbol(f.ctx.p, alpha))
 
 
-def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: int):
+def _hypersingular(alpha, f: CosetFunction, background, top: int):
     """The hypersingular form at points of B_top, top >= f.support_exp.
 
     Returns the grid of B_top at f's resolution, the form as a function of
@@ -120,12 +103,11 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
     extended table is laid out by those coordinates, read as base-p**(top
     + ell) digits, so the cell of x - y is plain integer arithmetic.
     """
-    if f.ctx != params.ctx or f.n != params.n:
-        raise ConfigError("operator and function live on different spaces")
-    p, n = params.ctx.p, params.n
+    p, n = f.ctx.p, f.n
+    validate_order(p, alpha)
     M, ell = f.support_exp, f.resolution_exp
     background = Fraction(background) if isinstance(background, int) else background
-    big = enumerate_cosets(params.ctx, top, ell, n)
+    big = enumerate_cosets(f.ctx, top, ell, n)
     q = p ** (top + ell)
     place = [q ** (n - 1 - j) for j in range(n)]
     # f on B_top, plus one last cell holding the background for the outer
@@ -151,13 +133,14 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
     # |y|**(-alpha-n) on each shell times the coset volume, and the outer
     # tail past each possible top shell G, where every y sees the background
     # (exact for an integral order, floats otherwise, as the prefactor is)
-    pref = params.prefactor()
-    exact = isinstance(pref, Fraction)
-    P = Fraction(p) if exact else float(p)
+    a = _integral_order(alpha)
+    exact = a is not None
+    P, A = (Fraction(p), a) if exact else (float(p), float(alpha))
+    pref = (1 - P ** A) / (1 - P ** (-A - n))
     coset_vol = Fraction(p) ** (-n * ell) if exact else float(Fraction(p) ** (-n * ell))
-    shell_w = {g: params.power_of_p(-g) * P ** (-g * n) * coset_vol for g in spheres}
+    shell_w = {g: power_of_p(p, alpha, -g) * P ** (-g * n) * coset_vol for g in spheres}
     tail_w = {
-        G: (1 - P ** (-n)) * (params.power_of_p(-(G + 1)) / (1 - params.power_of_p(-1)))
+        G: (1 - P ** (-n)) * (power_of_p(p, alpha, -(G + 1)) / (1 - power_of_p(p, alpha, -1)))
         for G in range(M, top + 1)
     }
 
@@ -211,9 +194,7 @@ def _hypersingular(params: OperatorParams, f: CosetFunction, background, top: in
     return big, at, None
 
 
-def apply_hypersingular(
-    params: OperatorParams, f: CosetFunction, x, background=Fraction(0)
-):
+def apply_hypersingular(alpha, f: CosetFunction, x, background=Fraction(0)):
     """Pointwise hypersingular form at x.
 
     ``f`` models a bounded locally constant function: the table inside its
@@ -224,16 +205,16 @@ def apply_hypersingular(
     an integral order gives a Fraction, summed as integers over one common
     denominator; anything else gives a complex number.
     """
-    vec = as_fraction_vector(x, params.n)
-    e_x = vector_norm_exponent(vec, params.ctx.p)
+    vec = as_fraction_vector(x, f.n)
+    e_x = vector_norm_exponent(vec, f.ctx.p)
     top = f.support_exp if e_x == NEG_INF else max(f.support_exp, int(e_x))
-    grid, at, den = _hypersingular(params, f, background, top)
+    grid, at, den = _hypersingular(alpha, f, background, top)
     v = at(grid.position(vec))
     return v if den is None else Fraction(v, den)
 
 
 def apply_hypersingular_field(
-    params: OperatorParams,
+    alpha,
     f: CosetFunction,
     support_exp: int | None = None,
     background=Fraction(0),
@@ -247,20 +228,22 @@ def apply_hypersingular_field(
     M = f.support_exp if support_exp is None else support_exp
     if M < f.support_exp:
         raise ConfigError("output support cannot be smaller than the input's")
-    grid, at, den = _hypersingular(params, f, background, M)
+    grid, at, den = _hypersingular(alpha, f, background, M)
     return CosetFunction(grid, [at(i) for i in range(len(grid))], den)
 
 
-def eigen_error(params: OperatorParams, f: CosetFunction, k) -> float:
+def eigen_error(alpha, f: CosetFunction, k) -> float:
     """The worst relative error of both operator forms against p**(k*alpha) * f.
 
     Each reference value is computed exactly when f and the eigenvalue are,
     and rounded once; a nan from either form makes the result nan.
     """
-    lam = params.power_of_p(k)
+    # the forms refuse a bad order before p**(k*alpha) is built
+    forms = (apply_spectral(alpha, f), apply_hypersingular_field(alpha, f))
+    lam = power_of_p(f.ctx.p, alpha, k)
     refs = [complex(w * lam) for w in f.values]
     return nan_max(
         abs(complex(v) - ref) / max(abs(ref), 1e-30)
-        for got in (apply_spectral(params, f), apply_hypersingular_field(params, f))
+        for got in forms
         for v, ref in zip(got.values, refs)
     )

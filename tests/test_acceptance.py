@@ -77,7 +77,7 @@ def _nan_table(f):
     return CosetFunction(f.grid, [math.nan] * len(f.grid))
 
 
-def _nan_hypersingular(params, f, *args, **kwargs):
+def _nan_hypersingular(alpha, f, *args, **kwargs):
     return _nan_table(f)
 
 

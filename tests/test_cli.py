@@ -468,6 +468,7 @@ def _suite_must_not_run(**kw):
         (["eigen-check", "--p", "3", "--C", "1e308"], None),
         (["eigen-check", "--p", "3", "--N", "400"], None),
         (["eigen-check", "--alpha", "1e-320"], None),
+        (["eigen-check", "--alpha", "0"], None),
         (["kernel-table", "--n", "4000"], None),
         (["kernel-table", "--K", "0"], None),
         (["eigen-check", "--K", "0"], None),
@@ -475,8 +476,8 @@ def _suite_must_not_run(**kw):
     ids=[
         "verify-config-tol-negative", "kernel-table-n-negative",
         "kernel-table-n-zero", "eigen-check-float-C-huge", "eigen-check-eigenvalue-huge",
-        "eigen-check-alpha-tiny", "kernel-table-values-past-int-str-limit",
-        "kernel-table-K-zero", "eigen-check-K-zero",
+        "eigen-check-alpha-tiny", "eigen-check-alpha-zero",
+        "kernel-table-values-past-int-str-limit", "kernel-table-K-zero", "eigen-check-K-zero",
     ],
 )
 def test_bad_settings_of_every_command_exit_2(argv, doc, tmp_path, monkeypatch, capsys):
@@ -690,8 +691,9 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from padicwave import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(padicwave.__all__)
-    assert len(padicwave.__all__) == 60
-    assert not {"padic_norm", "sphere_indicator", "subtract"} & set(padicwave.__all__)
+    assert len(padicwave.__all__) == 58
+    gone = {"padic_norm", "sphere_indicator", "subtract", "OperatorParams", "norm_exponent"}
+    assert not gone & set(padicwave.__all__)
     assert padicwave.forward is fourier.forward
     with pytest.raises(AttributeError):
         padicwave.no_such_name

@@ -17,7 +17,6 @@ from padicwave.padic import (
     character,
     fractional_part,
     norm_exact,
-    norm_exponent,
     rational_fractional_part,
     valuation,
 )
@@ -38,7 +37,7 @@ def test_norm_values():
     assert norm_exact(Fraction(9, 2), PrimeContext(3)) == Fraction(1, 9)
     assert norm_exact(Fraction(3, 4), PrimeContext(2)) == 4
     assert norm_exact(Fraction(0), PrimeContext(7)) == 0
-    assert norm_exponent(Fraction(0), PrimeContext(7)) == NEG_INF
+    assert -valuation(Fraction(0), PrimeContext(7)) == NEG_INF
 
 
 @given(rationals, rationals, primes)

@@ -28,6 +28,7 @@ from padicwave.solver import (
     PropagationMultiplier,
     WaveProblem,
     auto_time_sweep,
+    coupling,
     eigen_table,
     eigenfunction,
     kernel_ball_integral,
@@ -249,8 +250,8 @@ def test_incompatible_orders_are_refused_loudly():
     ctx = PrimeContext(2)
     u0 = eigen_data(ctx, 0, Fraction(1), 1)
     with pytest.raises(SpectralCompatibilityError, match="zero solution"):
-        WaveProblem.from_alpha_beta(ctx, 1, 1, 1.5, u0)
-    prob = WaveProblem.from_alpha_beta(ctx, 1, 0.5, 1.5, u0)
+        WaveProblem(ctx=ctx, n=1, alpha=1, K=coupling(1, 1.5), u0=u0)
+    prob = WaveProblem(ctx=ctx, n=1, alpha=0.5, K=coupling(0.5, 1.5), u0=u0)
     assert prob.K == 3
     assert prob.beta == pytest.approx(1.5)
 
@@ -405,15 +406,15 @@ def test_averaging_at_time_zero_is_the_data():
 def test_exact_ratio_decides_the_coupling():
     ctx = PrimeContext(2)
     u0 = eigen_data(ctx, 0, Fraction(1), 1)
+    third = Fraction(1, 3)
     with pytest.raises(SpectralCompatibilityError, match="not a positive integer"):
-        WaveProblem.from_alpha_beta(
-            ctx, 1, Fraction(1, 3), Fraction(1000000000001, 1000000000000), u0
-        )
-    assert WaveProblem.from_alpha_beta(ctx, 1, Fraction(1, 3), 1, u0).K == 3
+        K = coupling(third, Fraction(1000000000001, 1000000000000))
+        WaveProblem(ctx=ctx, n=1, alpha=third, K=K, u0=u0)
+    assert WaveProblem(ctx=ctx, n=1, alpha=third, K=coupling(third, 1), u0=u0).K == 3
     # float orders keep the 1e-9 relative slack
-    assert WaveProblem.from_alpha_beta(ctx, 1, 1 / 3, 1.000000000001, u0).K == 3
+    assert WaveProblem(ctx=ctx, n=1, alpha=1 / 3, K=coupling(1 / 3, 1.000000000001), u0=u0).K == 3
     with pytest.raises(ConfigError):
-        WaveProblem.from_alpha_beta(ctx, 1, 0, 1, u0)
+        WaveProblem(ctx=ctx, n=1, alpha=0, K=coupling(0, 1), u0=u0)
 
 
 def test_dimension_must_be_positive():
