@@ -59,7 +59,7 @@ _MODULE_OF = {
     "load_coset_function": "functions",
     "max_abs_diff": "functions",
     "norm_exact": "padic",
-    "radial_inverse": "fourier",
+    "radial_inverse": "functions",
     "radial_profile": "functions",
     "regrid": "functions",
     "save_coset_function": "functions",

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .functions import COMPLEX, RATIONAL, CosetFunction, RadialShellFunction
+from .functions import COMPLEX, CosetFunction
 from .lattice import enumerate_cosets
 from .padic import phase_to_complex
 from .phases import PhaseSum, rational_value
@@ -33,8 +33,8 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     and the phase {xi . x}_p is (sum_j a_j * b_j mod p**W) / p**W.  Every
     phase is carried as an integer index k mod Q (Q = p**W, or a finer power
     of p when a PhaseSum value has finer phases), and the exact sums as
-    integer coefficients over one common denominator: a rational table's
-    own, or the lcm of a phase table's coefficients.
+    integer coefficients over the lcm of the coefficients' denominators
+    (a rational table's own ``den``).
     """
     ctx, n = f.ctx, f.n
     p, M, ell = ctx.p, f.support_exp, f.resolution_exp
@@ -54,29 +54,26 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
                 acc_c += c * roots[sum(map(mul, a, b)) % width_q]
             out_values.append(acc_c * fvol)
         return CosetFunction(out_grid, out_values)
-    if f.kind == RATIONAL:  # each nonzero numerator is one term of phase index 0
-        big_q, den = width_q, f.den
-        terms = [(tuple(sign * aj for aj in a), [(0, c)]) for a, c in zip(in_a, f.cells) if c]
-    else:
-        # each nonzero input as its phase terms; a zero input adds no term
-        inputs = [
-            (a, v.terms if isinstance(v, PhaseSum) else {_ZERO: v})
-            for a, v in zip(in_a, f.cells)
-            if v != 0
-        ]
-        big_q = max([width_q] + [q.denominator for _, t in inputs for q in t])
-        den = math.lcm(*(c.denominator for _, t in inputs for c in t.values()))
-        lift = big_q // width_q
-        terms = [
-            (
-                tuple(sign * lift * aj for aj in a),
-                [
-                    (q.numerator * (big_q // q.denominator), c.numerator * (den // c.denominator))
-                    for q, c in t.items()
-                ],
-            )
-            for a, t in inputs
-        ]
+    # each nonzero input as its phase terms, a rational one as one term of
+    # phase 0; a zero input adds no term
+    inputs = [
+        (a, v.terms if isinstance(v, PhaseSum) else {_ZERO: v})
+        for a, v in zip(in_a, f.values)
+        if v != 0
+    ]
+    big_q = max([width_q] + [q.denominator for _, t in inputs for q in t])
+    den = math.lcm(*(c.denominator for _, t in inputs for c in t.values()))
+    lift = big_q // width_q
+    terms = [
+        (
+            tuple(sign * lift * aj for aj in a),
+            [
+                (q.numerator * (big_q // q.denominator), c.numerator * (den // c.denominator))
+                for q, c in t.items()
+            ],
+        )
+        for a, t in inputs
+    ]
     for b in out_b:
         acc: dict[int, int] = {}
         for a, v_terms in terms:
@@ -121,31 +118,3 @@ def multiply_radial(g: CosetFunction, weight) -> CosetFunction:
     # as complex numbers, times each rational weight rounded to a float
     w = {e: float(x) if isinstance(x, Fraction) else complex(x) for e, x in w.items()}
     return CosetFunction(g.grid, [c * w[e] for c, e in zip(g.complex_values(), norms)])
-
-
-def radial_inverse(r: RadialShellFunction, n: int = 1) -> RadialShellFunction:
-    """Inverse transform of a radial function, shell by shell.
-
-    Uses the closed-form sphere character integrals, so no grid is built:
-    the value at |x| = p**m collects a geometric core series, the explicit
-    shells up to exponent -m, and one boundary term from the shell at
-    -m + 1.  Matches the dense inverse on any embedding of r.
-    """
-    p = Fraction(r.ctx.p)
-    lo, hi = r.shell_lo, r.shell_hi
-    sphere_factor = 1 - p**-n
-
-    # exact weights on exact values; on complex ones, each weight rounded to a float
-    term = mul if r.exact else (lambda v, w: v * float(w))
-
-    def value_at(m: int):
-        core_top = min(lo - 1, -m)
-        acc = term(r.core_value, p ** (n * core_top))
-        for j in range(lo, min(hi, -m) + 1):
-            acc = acc + term(r.value_at_exponent(j), sphere_factor * p ** (n * j))
-        return acc + term(r.value_at_exponent(-m + 1), -(p ** (n * -m)))
-
-    out_lo = -hi + 1
-    out_hi = -lo + 1
-    shells = tuple(value_at(m) for m in range(out_lo, out_hi + 1))
-    return RadialShellFunction(r.ctx, value_at(out_lo - 1), shells, out_lo)

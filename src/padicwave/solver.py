@@ -44,6 +44,7 @@ from .functions import (
     integrate,
     is_in_Phi,
     l1_norm,
+    radial_inverse,
 )
 from .lattice import digit_valuations, sphere_volume
 from .padic import NEG_INF, PrimeContext, order_float
@@ -105,17 +106,12 @@ def eigenfunction(
 ) -> RadialShellFunction:
     """Radial eigenfunction of the spatial operator with eigenvalue p**(K*alpha*N).
 
-    Built as the inverse transform of C times the indicator of the sphere
+    The inverse transform of C times the indicator of the sphere
     |xi| = p**(K*N): constant C*(1 - p**-n)*p**(K*N*n) on the ball of radius
     p**(-K*N), one negative shell just above it, zero beyond.
     """
     _check_coupling(K)
-    p = Fraction(ctx.p)
-    core = (1 - p ** (-n)) * p ** (K * N * n)
-    shell = -(p ** ((K * N - 1) * n))
-    return RadialShellFunction(
-        ctx=ctx, core_value=core * C, shells=(shell * C,), shell_lo=-K * N + 1
-    )
+    return radial_inverse(RadialShellFunction(ctx, 0, (C,), K * N), n)
 
 
 def eigen_table(N: int, C, K: int, ctx: PrimeContext, n: int, widen: int) -> CosetFunction:
@@ -160,39 +156,17 @@ def kernel_closed_form(K: int, n: int, L: int, M: int, ctx: PrimeContext,
     return lead
 
 
-def kernel_oracle(K: int, n: int, L: int, M: int, ctx: PrimeContext) -> Fraction:
-    """The same kernel value summed directly from the multiplier.
+def kernel_oracle(K: int, n: int, L: int, ctx: PrimeContext) -> RadialShellFunction:
+    """The time-L kernel as a radial function of x, summed from the multiplier.
 
-    Expanding the inverse transform over frequency spheres N and using the
-    exact sphere-character integrals at |x| = p**M gives
-
-        (1-p**-n) p**(-Mn) sum_{j>=0} b(L, -M-j) p**(-jn) - p**(-Mn) b(L, -M+1).
-
-    b(L, -M-j) equals 1 for every j past a computable index, so the series
-    splits into a short head plus an exact geometric tail.  With q = p**n
-    and every b(L, N) written as c/(p - 1) for an integer c, the head and
-    tail sum to one integer over (p - 1) * q**j1.  Fully independent of
-    the closed form above.
+    b(L, .) is 1 on the frequency ball |xi| <= p**(-L//K) and takes one more
+    value, -1/(p - 1) or 0, on the sphere just above it, so the kernel is the
+    closed-form inverse transform of that profile.  It shares no code with
+    the closed form above; ``value_at_exponent(M)`` reads it on |x| = p**M.
     """
-    p, q = ctx.p, ctx.p**n
     b = PropagationMultiplier(ctx, K)
-
-    def c(N) -> int:
-        v = b.value(L, N)  # 1, -1/(p - 1) or 0
-        return v.numerator * ((p - 1) // v.denominator)
-
-    # b(L, -M-j) = 1 iff L <= K*(M+j), i.e. for all j >= ceil((L - K*M)/K)
-    j1 = max(0, _ceil_div(L - K * M, K))
-    head = 0  # sum_{j < j1} c(-M-j) * q**(j1-1-j), by Horner's rule
-    for j in range(j1):
-        head = head * q + c(-M - j)
-    # (1 - 1/q) * (head/((p-1) q**(j1-1)) + q**-j1/(1 - 1/q)) - c(-M+1)/(p-1)
-    # over the denominator (p-1) q**j1
-    num = (q - 1) * head + (p - 1) - c(-M + 1) * q**j1
-    den = (p - 1) * q**j1
-    if M >= 0:
-        return Fraction(num, den * q**M)
-    return Fraction(num * q**-M, den)
+    top = -L // K + 1
+    return radial_inverse(RadialShellFunction(ctx, 1, (b.value(L, top),), top), n)
 
 
 def kernel_ball_integral(

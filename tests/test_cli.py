@@ -155,6 +155,18 @@ def test_nonzero_mean_table_file_is_rejected(tmp_path, capsys):
     assert "zero mean" in capsys.readouterr().err
 
 
+def test_all_zero_table_solves_with_zero_l1_ratios(tmp_path):
+    # ||u0||_1 = 0: every slice is zero too, and its growth ratio reads 0
+    table = tmp_path / "u0.json"
+    save_coset_function(CosetFunction.from_values(PrimeContext(3), 1, 1, 1, [0] * 9), table)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3, "K": 2, "u0_spec": str(table)}))
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    ratios = json.loads((out / "summary.json").read_text())["l1_ratio_by_L"]
+    assert len(ratios) == 8 and set(ratios.values()) == {"0"}
+
+
 def test_table_with_a_tiny_exact_mean_is_rejected(tmp_path, capsys):
     table = tmp_path / "u0.json"
     values = [1 + Fraction(2, 3 * 10**12), -1]  # integral 1/(3*10**12)
@@ -300,14 +312,16 @@ def test_solve_p5_n2_files_hash_as_pinned(tmp_path):
 
 
 def test_solve_writes_no_negative_zero(tmp_path):
-    # a negative float C scales a real radial function: every imaginary part is +0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"u0_spec": "eigen 1 -0.5", "p": 3}))
-    out = tmp_path / "out"
-    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    for path in out.glob("*.csv"):
-        with open(path, newline="", encoding="utf-8") as fh:
-            assert not any("-0" in row for row in csv.reader(fh)), path.name
+    # a negative float C scales a real radial function: every imaginary part is +0;
+    # a zero float C gives +0 real parts in u0.csv, as in every slice
+    for C in ("-0.5", "0.0", "-0.0"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0_spec": f"eigen 1 {C}", "p": 3}))
+        out = tmp_path / C
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            with open(path, newline="", encoding="utf-8") as fh:
+                assert not any("-0" in row for row in csv.reader(fh)), (C, path.name)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padicwave.errors import ConfigError
-from padicwave.fourier import forward, inverse, radial_inverse
+from padicwave.fourier import forward, inverse
 from padicwave.functions import (
     COMPLEX,
     CosetFunction,
@@ -18,6 +18,7 @@ from padicwave.functions import (
     is_in_Phi,
     is_in_Psi,
     max_abs_diff,
+    radial_inverse,
     radial_profile,
     scale,
     translate,
@@ -125,14 +126,23 @@ def test_sphere_spectrum_inverts_to_the_canonical_eigenfunction():
         assert equal_exact(a, b)
 
 
-def test_radial_inverse_matches_the_grid_transform():
-    # radial closed form against the full 2-dim table transform
-    ctx = PrimeContext(3)
-    f = embed_radial(RadialShellFunction(ctx, Fraction(0), (Fraction(1),), 1), 1, 1, 2)
-    by_grid = radial_profile(inverse(f))
-    by_formula = radial_inverse(radial_profile(f), 2)
-    for gamma in range(-3, 4):
-        assert by_grid.value_at_exponent(gamma) == by_formula.value_at_exponent(gamma)
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 5) for n in (1, 2)])
+def test_radial_inverse_matches_the_grid_transform(p, n):
+    # radial closed form against the full table transform, on the two spectra
+    # the package inverts: a sphere indicator (the eigenfunction) and a
+    # multiplier profile, 1 on a ball and -1/(p - 1) or 0 on the sphere above
+    ctx = PrimeContext(p)
+    spectra = [RadialShellFunction(ctx, 0, (1,), lo) for lo in (-1, 0, 1)] + [
+        RadialShellFunction(ctx, 1, (edge,), lo)
+        for edge in (Fraction(-1, p - 1), 0)
+        for lo in (-1, 0, 1)
+    ]
+    for r in spectra:
+        by_grid = radial_profile(inverse(embed_radial(r, r.shell_hi, 1 - r.shell_lo, n)))
+        by_formula = radial_inverse(r, n)
+        for gamma in range(-4, 5):
+            assert by_grid.value_at_exponent(gamma) == by_formula.value_at_exponent(gamma), (
+                r.core_value, r.shells, r.shell_lo, gamma)
 
 
 def test_radial_inverse_unit_ball_fixed_point():

@@ -1,11 +1,15 @@
-"""The integer-coordinate oracles against literal Fraction references.
+"""The package's oracles against literal Fraction references.
 
-The three reference functions below are the per-term Fraction versions of
-``kernel_oracle``, ``solve_convolution`` and ``apply_hypersingular``, kept
-here as written before the oracles moved onto integer digit coordinates.
-Rational results must be equal Fraction for Fraction, float results
-bitwise: the integer oracles keep the references' summation order and round
-each exact value where the references did.
+The three reference functions below are per-term Fraction versions of
+``kernel_oracle``, ``solve_convolution`` and ``apply_hypersingular``.  The
+last two oracles run on integer digit coordinates, and their references are
+kept as written before they moved there.  ``kernel_oracle`` returns the
+time-L kernel as a radial function, the closed-form inverse transform of
+the multiplier; its reference sums the multiplier series on one sphere, a
+short head plus a geometric tail.  Rational results must be equal Fraction
+for Fraction, float results bitwise: the integer oracles keep the
+references' summation order and round each exact value where the
+references did.
 """
 
 import random
@@ -193,8 +197,9 @@ def test_kernel_oracle_matches_the_fraction_reference(p):
     for n in (1, 2, 3):
         for K in range(1, 5):
             for L in range(-9, 10):
+                kernel = kernel_oracle(K, n, L, ctx)
                 for M in range(-9, 10):
-                    assert kernel_oracle(K, n, L, M, ctx) == reference_kernel_oracle(K, n, L, M, ctx)
+                    assert kernel.value_at_exponent(M) == reference_kernel_oracle(K, n, L, M, ctx)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)

@@ -91,6 +91,12 @@ def test_scaling_acts_on_the_complex_value(coeffs, c):
     )
 
 
+def test_equality_between_phase_sums():
+    # compares the exact value of the difference, not the stored terms
+    assert PhaseSum(3, {Fraction(1, 3): 1, Fraction(2, 3): 1}) == PhaseSum(3, {Fraction(0): -1})
+    assert PhaseSum(2, {Fraction(1, 4): 1}) != PhaseSum(2, {Fraction(3, 4): 1})
+
+
 def test_equality_against_plain_numbers():
     s = PhaseSum(2, {Fraction(0): Fraction(5, 7)})
     assert s == Fraction(5, 7)

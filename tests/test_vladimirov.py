@@ -6,6 +6,7 @@ import pytest
 from padicwave.errors import ConfigError, LizorkinError
 from padicwave.fourier import forward
 from padicwave.functions import (
+    RATIONAL,
     CosetFunction,
     add,
     ball_indicator,
@@ -35,6 +36,15 @@ def test_integral_alpha_keeps_tables_rational():
     # the prefactor too: the form of a rational table is a Fraction
     f = ball_indicator(PrimeContext(3), 1, 0)
     assert isinstance(apply_hypersingular(2, f, (Fraction(1, 3),)), Fraction)
+    # a whole float or Fraction order is the integer order: the same rational tables
+    g = CosetFunction.from_values(PrimeContext(3), 1, 1, 1, [3, -1, 0, 2, -4, 1, 0, 0, -1])
+    want = (apply_spectral(2, g), apply_hypersingular_field(2, g))
+    assert all(t.kind == RATIONAL for t in want)
+    for alpha in (2.0, Fraction(2)):
+        assert power_of_p(3, alpha, -2) == Fraction(1, 81)
+        got = (apply_spectral(alpha, g), apply_hypersingular_field(alpha, g))
+        for t, ref in zip(got, want):
+            assert t.kind == RATIONAL and equal_exact(t, ref), alpha
 
 
 def test_fractional_alpha_degrades_to_float():
