@@ -1,12 +1,14 @@
 """One-shot verification suite.
 
 Each check function exercises one advertised guarantee of the package at
-desk scale and returns a CheckResult; ``run_all`` runs the lot in a fixed
-order with a fixed seed so the suite is deterministic.  The checks lean on
-independent computations (direct coset sums, the kernel summed from the
-multiplier, two operator forms, two solver routes) rather than re-evaluating
-the code under test, so a passing run means the closed forms agree with
-brute force everywhere sampled.
+desk scale and returns a CheckResult.  A check names itself once, with
+``@_check(name)``; its body returns the detail line of a pass, or raises
+``_Failed`` with the detail of its first failing case.  ``run_all`` runs the
+lot in a fixed order with a fixed seed so the suite is deterministic.  The
+checks lean on independent computations (direct coset sums, the kernel
+summed from the multiplier, two operator forms, two solver routes) rather
+than re-evaluating the code under test, so a passing run means the closed
+forms agree with brute force everywhere sampled.
 
 ``run_all(bracket="floor")`` exists for mutation testing: it threads the
 deliberately wrong bracket variant into the kernel closed form and must
@@ -18,6 +20,7 @@ that use them, so a process that runs one other check never compiles them.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import compress
@@ -73,6 +76,35 @@ class CheckResult:
         self.name = name
         self.passed = passed
         self.detail = detail
+
+
+class _Failed(Exception):
+    """A check's first failing case; its argument is the report detail."""
+
+
+def _check(name: str):
+    """Declare a check by its report name: the body's detail becomes a passing
+    CheckResult, and a raised ``_Failed`` a failing one."""
+
+    def declare(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                passed, detail = True, body(*args, **kwargs)
+            except _Failed as failed:
+                passed, detail = False, str(failed)
+            return CheckResult(name, passed, detail)
+
+        return check
+
+    return declare
+
+
+def _within(worst: float, tol: float, detail: str) -> str:
+    """detail, raised as a failure unless worst <= tol (which a nan fails)."""
+    if not worst <= tol:
+        raise _Failed(detail)
+    return detail
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +199,8 @@ def _zero_mean(f: CosetFunction) -> CosetFunction:
 # the eleven checks
 
 
-def check_integration_formulas() -> CheckResult:
+@_check("integration-formulas")
+def check_integration_formulas() -> str:
     """Ball and sphere character integrals vs direct coset sums, exactly."""
     sums = {}  # (p, gamma, xi) -> its 1-dim sum, made once for all the factors that share it
     cases = 0
@@ -183,20 +216,16 @@ def check_integration_formulas() -> CheckResult:
                         want_ball = ball_character_integral(ctx, n, gamma, vec)
                         got_ball = _ball_sum(ctx, gamma, vec, sums)
                         if got_ball != want_ball:
-                            return CheckResult(
-                                "integration-formulas",
-                                False,
+                            raise _Failed(
                                 f"ball mismatch at p={p} n={n} gamma={gamma} "
-                                f"xi={xi}: closed {want_ball}, brute {got_ball}",
+                                f"xi={xi}: closed {want_ball}, brute {got_ball}"
                             )
                         want_sph = sphere_character_integral(ctx, n, gamma, vec)
                         got_sph = got_ball - _ball_sum(ctx, gamma - 1, vec, sums)
                         if got_sph != want_sph:
-                            return CheckResult(
-                                "integration-formulas",
-                                False,
+                            raise _Failed(
                                 f"sphere mismatch at p={p} n={n} gamma={gamma} "
-                                f"xi={xi}: closed {want_sph}, brute {got_sph}",
+                                f"xi={xi}: closed {want_sph}, brute {got_sph}"
                             )
                         cases += 2
     # validate the coordinate factorization itself on genuinely 2-dim sums
@@ -208,19 +237,16 @@ def check_integration_formulas() -> CheckResult:
                 direct = _ball_sum_direct(ctx, 2, gamma, vec)
                 split = _ball_sum(ctx, gamma, vec, sums)
                 if direct != split:
-                    return CheckResult(
-                        "integration-formulas",
-                        False,
+                    raise _Failed(
                         f"factorized sum disagrees with direct 2-dim sum at "
-                        f"p={p} gamma={gamma} exps={exps}",
+                        f"p={p} gamma={gamma} exps={exps}"
                     )
                 cases += 1
-    return CheckResult(
-        "integration-formulas", True, f"{cases} exact rational identities"
-    )
+    return f"{cases} exact rational identities"
 
 
-def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("fourier-round-trip")
+def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> str:
     """inverse(forward(f)) = f on random tables; zero-mean/zero-at-origin flags."""
     from .fourier import forward, inverse
 
@@ -242,11 +268,9 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
         gaps.append(max_abs_diff(f, g))
     worst, count = nan_max(gaps), len(gaps)
     if exact_failures or not worst <= EIGEN_TOL:
-        return CheckResult(
-            "fourier-round-trip",
-            False,
+        raise _Failed(
             f"max error {worst:.3e} over {count} tables, "
-            f"{exact_failures} exact-path failures",
+            f"{exact_failures} exact-path failures"
         )
     # mapping flags: zero mean <-> transform vanishing at the origin
     flag_fail = []
@@ -260,17 +284,12 @@ def check_fourier_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
         if is_in_Phi(one) or is_in_Psi(forward(one)):
             flag_fail.append(f"constant table p={p} n={n}")
     if flag_fail:
-        return CheckResult(
-            "fourier-round-trip", False, "flag errors: " + "; ".join(flag_fail)
-        )
-    return CheckResult(
-        "fourier-round-trip",
-        True,
-        f"{count} round trips, max error {worst:.3e}, mapping flags correct",
-    )
+        raise _Failed("flag errors: " + "; ".join(flag_fail))
+    return f"{count} round trips, max error {worst:.3e}, mapping flags correct"
 
 
-def check_eigenrelation() -> CheckResult:
+@_check("eigenrelation")
+def check_eigenrelation() -> str:
     """Both operator forms reproduce the eigenvalue on the canonical family."""
     from .vladimirov import eigen_error
 
@@ -283,15 +302,14 @@ def check_eigenrelation() -> CheckResult:
                 for alpha in (Fraction(1, 2), 1, 2):
                     errors.append(eigen_error(alpha, f, K * N))
     combos, worst = len(errors), nan_max(errors)
-    passed = worst <= EIGEN_TOL
-    return CheckResult(
-        "eigenrelation",
-        passed,
+    return _within(
+        worst, EIGEN_TOL,
         f"{combos} (p,K,N,alpha) combos, worst shell-wise relative error {worst:.3e}",
     )
 
 
-def check_operator_duality(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("operator-duality")
+def check_operator_duality(seed: int = DEFAULT_SEED) -> str:
     """Averaging, Fourier and hypersingular forms agree on zero-mean tables; exact if rational."""
     from .fourier import forward, inverse, multiply_radial
     from .vladimirov import apply_hypersingular_field, apply_spectral, symbol
@@ -310,22 +328,19 @@ def check_operator_duality(seed: int = DEFAULT_SEED) -> CheckResult:
         for g in (inverse(multiply_radial(forward(f), symbol(p, alpha))),
                   apply_hypersingular_field(alpha, f)):
             if spect.kind != COMPLEX and not equal_exact(spect, g):
-                return CheckResult("operator-duality", False, f"input {i}: the routes differ")
+                raise _Failed(f"input {i}: the routes differ")
             gaps.append(max_abs_diff(spect, g))
         count += 1
     worst = nan_max(gaps)
-    passed = worst <= DUALITY_TOL
-    return CheckResult(
-        "operator-duality",
-        passed,
-        f"{count} random zero-mean inputs, max pointwise gap {worst:.3e}",
+    return _within(
+        worst, DUALITY_TOL, f"{count} random zero-mean inputs, max pointwise gap {worst:.3e}"
     )
 
 
-def check_kernel_identity(bracket: str = "ceil") -> CheckResult:
+@_check("kernel-identity")
+def check_kernel_identity(bracket: str = "ceil") -> str:
     """Closed-form kernel vs the inverse transform of the multiplier, exact rationals."""
-    checked = 0
-    case_1a = case_1b = 0
+    checked = case_1a = case_1b = 0
     for p in (2, 3):
         ctx = PrimeContext(p)
         for n in (1, 2):
@@ -336,57 +351,39 @@ def check_kernel_identity(bracket: str = "ceil") -> CheckResult:
                         got = kernel_closed_form(K, n, L, M, ctx, bracket=bracket)
                         want = kernel.value_at_exponent(M)
                         if got != want:
-                            return CheckResult(
-                                "kernel-identity",
-                                False,
+                            raise _Failed(
                                 f"kernel-oracle mismatch at p={p} n={n} K={K} "
-                                f"L={L} M={M}: closed {got}, oracle {want}",
+                                f"L={L} M={M}: closed {got}, oracle {want}"
                             )
                         if L <= K * (M - 1):
                             case_1a += 1
                             if want != 0:
-                                return CheckResult(
-                                    "kernel-identity",
-                                    False,
-                                    f"case-1a row not zero at p={p} n={n} K={K} L={L} M={M}",
+                                raise _Failed(
+                                    f"case-1a row not zero at p={p} n={n} K={K} L={L} M={M}"
                                 )
                         elif L == K * (M - 1) + 1:
                             case_1b += 1
-                            expect = Fraction(p, p - 1) * Fraction(p) ** (-n * M)
-                            if want != expect:
-                                return CheckResult(
-                                    "kernel-identity",
-                                    False,
-                                    f"case-1b row wrong at p={p} n={n} K={K} L={L} M={M}",
+                            if want != Fraction(p, p - 1) * Fraction(p) ** (-n * M):
+                                raise _Failed(
+                                    f"case-1b row wrong at p={p} n={n} K={K} L={L} M={M}"
                                 )
                         checked += 1
-    return CheckResult(
-        "kernel-identity",
-        True,
-        f"{checked} exact identities ({case_1a} case-1a zeros, {case_1b} case-1b rows)",
-    )
+    return f"{checked} exact identities ({case_1a} case-1a zeros, {case_1b} case-1b rows)"
 
 
 def _duality_problems(seed: int = DEFAULT_SEED):
     rng = random.Random(seed + 2)
-    out = []
     ctx2, ctx3 = PrimeContext(2), PrimeContext(3)
-    out.append(
-        WaveProblem(ctx=ctx2, n=1, alpha=1, K=1, u0=eigen_table(1, Fraction(1), 1, ctx2, 1, 1))
-    )
-    out.append(
-        WaveProblem(ctx=ctx3, n=1, alpha=Fraction(1, 2), K=2, u0=eigen_table(0, Fraction(2), 2, ctx3, 1, 1))
-    )
-    out.append(
-        WaveProblem(ctx=ctx2, n=2, alpha=1, K=2, u0=_zero_mean(_random_table(rng, ctx2, 2, 1, 1, True)))
-    )
-    out.append(
-        WaveProblem(ctx=ctx3, n=1, alpha=2, K=3, u0=_zero_mean(_random_table(rng, ctx3, 1, 1, 1, True)))
-    )
-    return out
+    return [
+        WaveProblem(ctx=ctx2, n=1, alpha=1, K=1, u0=eigen_table(1, Fraction(1), 1, ctx2, 1, 1)),
+        WaveProblem(ctx=ctx3, n=1, alpha=Fraction(1, 2), K=2, u0=eigen_table(0, Fraction(2), 2, ctx3, 1, 1)),
+        WaveProblem(ctx=ctx2, n=2, alpha=1, K=2, u0=_zero_mean(_random_table(rng, ctx2, 2, 1, 1, True))),
+        WaveProblem(ctx=ctx3, n=1, alpha=2, K=3, u0=_zero_mean(_random_table(rng, ctx3, 1, 1, 1, True))),
+    ]
 
 
-def check_solver_duality(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("solver-duality")
+def check_solver_duality(seed: int = DEFAULT_SEED) -> str:
     """The three solver routes agree; t = 0 returns the data exactly.
 
     Averaging must equal the spectral route exactly on rational data, and
@@ -402,32 +399,26 @@ def check_solver_duality(seed: int = DEFAULT_SEED) -> CheckResult:
             solve_convolution(prob, T_ZERO),
         )
         if not all(equal_exact(sl.field, prob.u0) for sl in zero_slices):
-            return CheckResult(
-                "solver-duality", False, "t = 0 slice differs from the data"
-            )
+            raise _Failed("t = 0 slice differs from the data")
         exact = prob.u0.kind != COMPLEX
         for L in auto_time_sweep(prob):
             a = solve_averaging(prob, L).field
             s = solve_spectral(prob, L, u0_hat).field
             if exact and not equal_exact(a, s):
-                return CheckResult(
-                    "solver-duality", False,
-                    f"averaging and spectral slices differ at L={L} on rational data",
-                )
+                raise _Failed(f"averaging and spectral slices differ at L={L} on rational data")
             gaps.append(max_abs_diff(a, s))
             gaps.append(max_abs_diff(a, solve_convolution(prob, L).field))
             slices += 1
     worst = nan_max(gaps)
-    passed = worst <= DUALITY_TOL
-    return CheckResult(
-        "solver-duality",
-        passed,
+    return _within(
+        worst, DUALITY_TOL,
         f"{slices} slices on three routes (averaging, spectral, convolution), "
         f"averaging = spectral exactly on rational data, max gap {worst:.3e}; t=0 exact",
     )
 
 
-def check_time_pde() -> CheckResult:
+@_check("time-pde")
+def check_time_pde() -> str:
     """The time profile of a single-sphere mode is an eigenfunction in t.
 
     With spectral data on the sphere |xi| = p**N, the temporal operator of
@@ -460,15 +451,13 @@ def check_time_pde() -> CheckResult:
             errors.append(err / max(abs(lam_c) * scale_ref, 1e-30))
         combos += 1
     worst = nan_max(errors)
-    passed = worst <= EIGEN_TOL
-    return CheckResult(
-        "time-pde",
-        passed,
-        f"{combos} single-sphere modes, worst relative defect {worst:.3e}",
+    return _within(
+        worst, EIGEN_TOL, f"{combos} single-sphere modes, worst relative defect {worst:.3e}"
     )
 
 
-def check_finite_dependence() -> CheckResult:
+@_check("finite-dependence")
+def check_finite_dependence() -> str:
     """Data in a ball stays in the ball for every early-enough slice.
 
     Zero-mean data in |x| <= p**N makes the kernel tail outside that ball
@@ -494,21 +483,16 @@ def check_finite_dependence() -> CheckResult:
                 )
                 worst = max(worst, leak)
                 if not leak <= LEAK_TOL:
-                    return CheckResult(
-                        "finite-dependence",
-                        False,
+                    raise _Failed(
                         f"leak {leak:.3e} outside the ball at "
-                        f"p={p} K={K} N={N} (swept {tuple(swept)})",
+                        f"p={p} K={K} N={N} (swept {tuple(swept)})"
                     )
                 combos += 1
-    return CheckResult(
-        "finite-dependence",
-        True,
-        f"{combos} (p,K,N) combos confined, max leak {worst:.3e}",
-    )
+    return f"{combos} (p,K,N) combos confined, max leak {worst:.3e}"
 
 
-def check_l1_bound(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("l1-bound")
+def check_l1_bound(seed: int = DEFAULT_SEED) -> str:
     """Every swept slice respects the universal L1 growth bound."""
     worst_ratio = 0.0
     slices = 0
@@ -517,18 +501,13 @@ def check_l1_bound(seed: int = DEFAULT_SEED) -> CheckResult:
             ratio, bound = l1_bound_check(prob, solve_averaging(prob, L).field)
             worst_ratio = max(worst_ratio, ratio)
             if not ratio <= bound * (1 + 1e-12):
-                return CheckResult(
-                    "l1-bound",
-                    False,
-                    f"ratio {ratio:.6g} exceeds bound {bound:.6g} at L={L}",
-                )
+                raise _Failed(f"ratio {ratio:.6g} exceeds bound {bound:.6g} at L={L}")
             slices += 1
-    return CheckResult(
-        "l1-bound", True, f"{slices} slices, observed max ratio {worst_ratio:.6g}"
-    )
+    return f"{slices} slices, observed max ratio {worst_ratio:.6g}"
 
 
-def check_uniqueness() -> CheckResult:
+@_check("uniqueness")
+def check_uniqueness() -> str:
     """Zero data stays zero along all three solver routes."""
     routes = (solve_averaging, solve_spectral, solve_convolution)
     for p, n in ((2, 1), (3, 1), (2, 2)):
@@ -541,11 +520,12 @@ def check_uniqueness() -> CheckResult:
         ]
         if any(v != 0 for v in values):
             worst = nan_max(abs(complex(v)) for v in values)
-            return CheckResult("uniqueness", False, f"zero data grew to {worst:.3e}")
-    return CheckResult("uniqueness", True, "zero data stays exactly zero on all three routes")
+            raise _Failed(f"zero data grew to {worst:.3e}")
+    return "zero data stays exactly zero on all three routes"
 
 
-def check_refusal() -> CheckResult:
+@_check("refusal-path")
+def check_refusal() -> str:
     """Incompatible operator orders are rejected with the right diagnostic."""
     ctx = PrimeContext(3)
     u0 = eigen_table(0, Fraction(1), 1, ctx, 1, 0)
@@ -553,17 +533,13 @@ def check_refusal() -> CheckResult:
         WaveProblem(ctx=ctx, n=1, alpha=1.0, K=coupling(1.0, 1.5), u0=u0)
     except SpectralCompatibilityError as exc:
         msg = str(exc)
-        if "zero" in msg and "1.5" in msg:
-            ok = WaveProblem(ctx=ctx, n=1, alpha=0.5, K=coupling(0.5, 1.5), u0=u0)
-            if ok.K == 3:
-                return CheckResult(
-                    "refusal-path", True, "non-integer ratio refused, integer ratio accepted"
-                )
-            return CheckResult("refusal-path", False, "integer ratio mis-parsed")
-        return CheckResult(
-            "refusal-path", False, f"diagnostic does not explain the refusal: {msg!r}"
-        )
-    return CheckResult("refusal-path", False, "beta/alpha = 1.5 was not refused")
+    else:
+        raise _Failed("beta/alpha = 1.5 was not refused")
+    if not ("zero" in msg and "1.5" in msg):
+        raise _Failed(f"diagnostic does not explain the refusal: {msg!r}")
+    if WaveProblem(ctx=ctx, n=1, alpha=0.5, K=coupling(0.5, 1.5), u0=u0).K != 3:
+        raise _Failed("integer ratio mis-parsed")
+    return "non-integer ratio refused, integer ratio accepted"
 
 
 def run_all(bracket: str = "ceil", seed: int = DEFAULT_SEED) -> list[CheckResult]:

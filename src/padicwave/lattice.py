@@ -106,12 +106,13 @@ class CosetGrid:
         A coordinate is its digit coordinate a = x * p**M, an integer in
         [0, p**W) with W = M + ell, or render(a) when render is given.  Grid
         order is the n-fold product of the one-dimensional ``digit_reversal``
-        order, so render runs once for each of the p**W values of a.
+        order, so render runs once for each of the p**W values of a; at n = 1
+        it runs as each coset is reached, and no rendered list is kept.
         """
         one_d = self._one_d_order()
         if render is not None:
-            one_d = list(map(render, one_d))
-        return itertools.product(one_d, repeat=self.n)
+            one_d = map(render, one_d)
+        return zip(one_d) if self.n == 1 else itertools.product(one_d, repeat=self.n)
 
     def _one_d_order(self) -> tuple[int, ...]:
         """The one-dimensional grid order, ``digit_reversal`` of width W, built once."""

@@ -1,5 +1,6 @@
 """One test per top-level acceptance check, each printing its verdict line,
-plus the fast ball-sum oracle against its one-Fraction-per-coset reference.
+plus the fast ball-sum oracle against its one-Fraction-per-coset reference, and
+every failure detail that a patch of one input can reach.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines
 with their detail strings; the whole file is the release gate.
@@ -10,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from padicwave import acceptance, solver, vladimirov
+from padicwave import acceptance, fourier, solver, vladimirov
+from padicwave.errors import SpectralCompatibilityError
 from padicwave.functions import CosetFunction
 from padicwave.lattice import enumerate_cosets, vector_norm_exponent
 from padicwave.padic import NEG_INF, PrimeContext, rational_fractional_part
@@ -144,3 +146,178 @@ def test_ball_sum_matches_the_fraction_phase_reference(p):
             got = acceptance._ball_sum_1d(ctx, gamma, xi)
             assert got == _reference_ball_sum_1d(ctx, gamma, xi)
             assert isinstance(got, Fraction)
+
+
+
+# ---------------------------------------------------------------------------
+# every failure detail that a patch of one input can reach, as the report prints it
+
+
+def _returns(value):
+    return lambda real: lambda *args, **kwargs: value
+
+
+def _raises(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return lambda real: raiser
+
+
+def _plus_one(f):
+    return CosetFunction(f.grid, [v + 1 for v in f.values])
+
+
+def _shifted(route, when=lambda *args: True):
+    """route, with 1 added to each value of the table or slice it returns when when(*args)."""
+
+    def shifted(*args):
+        out = route(*args)
+        if not when(*args):
+            return out
+        if isinstance(out, solver.SolutionSlice):
+            return solver.SolutionSlice(out.L, _plus_one(out.field))
+        return _plus_one(out)
+
+    return shifted
+
+
+def _kernel_moved(move):
+    """The kernel oracle and the closed form moved alike, each value v read as move(v)."""
+
+    class Moved:
+        def __init__(self, kernel):
+            self.kernel = kernel
+
+        def value_at_exponent(self, M):
+            return move(self.kernel.value_at_exponent(M))
+
+    return [
+        (acceptance, "kernel_oracle", lambda real: lambda *args: Moved(real(*args))),
+        (acceptance, "kernel_closed_form", lambda real: lambda *a, **k: move(real(*a, **k))),
+    ]
+
+
+FAILURES = [
+    pytest.param(
+        "check_integration_formulas",
+        [(acceptance, "ball_character_integral", _returns(Fraction(-1)))],
+        "ball mismatch at p=2 n=1 gamma=-3 xi=16: closed -1, brute 1/8",
+        id="ball",
+    ),
+    pytest.param(
+        "check_integration_formulas",
+        [(acceptance, "sphere_character_integral", _returns(Fraction(-1)))],
+        "sphere mismatch at p=2 n=1 gamma=-3 xi=16: closed -1, brute 1/16",
+        id="sphere",
+    ),
+    pytest.param(
+        "check_integration_formulas",
+        [(acceptance, "_ball_sum_direct", _returns(None))],
+        "factorized sum disagrees with direct 2-dim sum at p=2 gamma=-1 exps=(1, 0)",
+        id="factorized",
+    ),
+    pytest.param(
+        "check_fourier_round_trip",
+        [(fourier, "inverse", _shifted)],
+        "max error 1.000e+00 over 104 tables, 52 exact-path failures",
+        id="round-trip",
+    ),
+    pytest.param(
+        "check_fourier_round_trip",
+        [(acceptance, "is_in_Psi", lambda real: lambda f: not real(f))],
+        "flag errors: zero-mean table p=2 n=1; constant table p=2 n=1; "
+        "zero-mean table p=3 n=2; constant table p=3 n=2",
+        id="mapping-flags",
+    ),
+    pytest.param(
+        "check_eigenrelation",
+        [(vladimirov, "eigen_error", _returns(1.0))],
+        "135 (p,K,N,alpha) combos, worst shell-wise relative error 1.000e+00",
+        id="eigenrelation",
+    ),
+    pytest.param(
+        "check_operator_duality",
+        [(vladimirov, "apply_hypersingular_field", _shifted)],
+        "input 0: the routes differ",
+        id="routes-differ",
+    ),
+    pytest.param(
+        "check_operator_duality",
+        [(vladimirov, "apply_hypersingular_field",
+          lambda real: _shifted(real, lambda alpha, f: isinstance(alpha, float)))],
+        "52 random zero-mean inputs, max pointwise gap 1.000e+00",
+        id="operator-gap",
+    ),
+    pytest.param(
+        "check_kernel_identity",
+        _kernel_moved(lambda v: v or 1),
+        "case-1a row not zero at p=2 n=1 K=1 L=-6 M=-5",
+        id="case-1a",
+    ),
+    pytest.param(
+        "check_kernel_identity",
+        _kernel_moved(lambda v: v + 1),
+        "case-1b row wrong at p=2 n=1 K=1 L=-6 M=-6",
+        id="case-1b",
+    ),
+    pytest.param(
+        "check_solver_duality",
+        [(acceptance, "solve_spectral", _shifted)],
+        "t = 0 slice differs from the data",
+        id="t-zero",
+    ),
+    pytest.param(
+        "check_solver_duality",
+        [(acceptance, "solve_spectral",
+          lambda real: _shifted(real, lambda prob, L, *rest: L != solver.T_ZERO))],
+        "averaging and spectral slices differ at L=-2 on rational data",
+        id="averaging-spectral",
+    ),
+    pytest.param(
+        "check_time_pde",
+        [(vladimirov, "apply_spectral", _shifted)],
+        "5 single-sphere modes, worst relative defect 4.050e+01",
+        id="time-pde",
+    ),
+    pytest.param(
+        "check_finite_dependence",
+        [(acceptance, "solve_averaging", _shifted)],
+        "leak 1.000e+00 outside the ball at p=2 K=1 N=0 (swept (-2, -1))",
+        id="leak",
+    ),
+    pytest.param(
+        "check_l1_bound",
+        [(acceptance, "l1_bound_check", _returns((2.0, 1.0)))],
+        "ratio 2 exceeds bound 1 at L=-2",
+        id="l1-bound",
+    ),
+    pytest.param(
+        "check_refusal",
+        [(acceptance, "coupling", lambda real: lambda a, b: 2 if a == 0.5 else real(a, b))],
+        "integer ratio mis-parsed",
+        id="mis-parsed",
+    ),
+    pytest.param(
+        "check_refusal",
+        [(acceptance, "coupling", _raises(SpectralCompatibilityError("no")))],
+        "diagnostic does not explain the refusal: 'no'",
+        id="diagnostic",
+    ),
+    pytest.param(
+        "check_refusal",
+        [(acceptance, "coupling", _returns(1))],
+        "beta/alpha = 1.5 was not refused",
+        id="not-refused",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, patches, detail", FAILURES)
+def test_each_failure_path_reports_its_detail(check, patches, detail, monkeypatch):
+    # each patch is (module, name, make), make(original) being the replacement
+    for module, name, make in patches:
+        monkeypatch.setattr(module, name, make(getattr(module, name)))
+    r = getattr(acceptance, check)()
+    assert r.passed is False
+    assert r.detail == detail

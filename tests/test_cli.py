@@ -433,6 +433,10 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"p": 3, "u0_spec": "TABLE:no-values"}, []),
         ({"p": 3, "u0_spec": "TABLE:M-text"}, []),
         ({"p": 3, "u0_spec": "TABLE:list"}, []),
+        ("[1]", []),
+        ({"u0_spec": "sphere-indicator 1 2"}, []),
+        ({"u0_spec": "eigen 1"}, []),
+        ({"u0_spec": "sphere-indicator x"}, []),
     ],
     ids=[
         "p", "alpha", "sweep", "n", "sweep-flag", "table-entry",
@@ -446,6 +450,7 @@ def _broken_table(path: Path, edit: str) -> Path:
         "eigen-float-C-huge", "eigen-N-past-float", "eigen-K-past-float", "tolerance-unknown",
         "sweep-repeated", "sweep-flag-repeated", "profile-weights-huge", "table-other-p",
         "table-short", "table-no-values", "table-M-text", "table-list",
+        "config-not-object", "sphere-indicator-usage", "eigen-usage", "sphere-indicator-not-int",
     ],
 )
 def test_config_errors_exit_2_without_traceback(doc, extra, tmp_path):

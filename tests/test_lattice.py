@@ -170,6 +170,23 @@ def test_position_of_each_representative_is_its_index():
                         assert grid.position(rep) == i, (p, n, M, ell, rep)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_coordinates_render_each_digit_once_and_lazily_at_n_1(n):
+    grid = enumerate_cosets(PrimeContext(3), 2, 1, n)
+    calls = []
+
+    def render(a):
+        calls.append(a)
+        return -a
+
+    coords = grid.coordinates(render)
+    first = next(coords)
+    # at n = 1 the first coset renders one digit, not all p**W of them
+    assert len(calls) == (1 if n == 1 else 27)
+    assert [first, *coords] == [tuple(-a for a in d) for d in grid.digits]
+    assert len(calls) == 27
+
+
 def test_enumerate_cosets_rejects_dimension_below_one():
     with pytest.raises(ConfigError):
         enumerate_cosets(PrimeContext(2), 1, 1, 0)

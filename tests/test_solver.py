@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicwave import solver
 from padicwave.errors import (
     ConfigError,
     LizorkinError,
@@ -26,6 +27,7 @@ from padicwave.padic import NEG_INF, PrimeContext
 from padicwave.solver import (
     T_ZERO,
     PropagationMultiplier,
+    SolutionSlice,
     WaveProblem,
     auto_time_sweep,
     coupling,
@@ -269,6 +271,15 @@ def test_time_profile_tracks_the_multiplier():
         want = PropagationMultiplier(ctx, K).value(L, K * N) * ux
         assert profile.value_at_exponent(L) == want, L
     assert profile.integrate(1) == 0
+
+
+def test_time_profile_refuses_a_profile_without_zero_mean(monkeypatch):
+    # every slice equal to the data makes t -> u(t, x) constant, whose integral is not zero
+    ctx = PrimeContext(3)
+    prob = WaveProblem(ctx=ctx, n=1, alpha=1, K=1, u0=eigen_data(ctx, 0, Fraction(1), 1))
+    monkeypatch.setattr(solver, "solve_averaging", lambda prob, L: SolutionSlice(L, prob.u0))
+    with pytest.raises(LizorkinError, match="fails the zero-mean check: integral = 6"):
+        time_profile(prob, (Fraction(0),))
 
 
 def test_wave_problem_validation():
