@@ -171,7 +171,9 @@ def _ball_sum_direct(ctx: PrimeContext, n: int, gamma: int, xi_vec):
         for c, r in zip(xi_vec, rep):
             ph = (ph + rational_fractional_part(c * r, ctx.p)) % 1
         acc[ph] = acc.get(ph, Fraction(0)) + 1
-    total = PhaseSum(ctx.p, acc).as_rational()
+    q = max(ph.denominator for ph in acc)  # the phases' denominators are powers of p
+    total = PhaseSum(ctx.p, q, {ph.numerator * (q // ph.denominator): c for ph, c in acc.items()})
+    total = total.as_rational()
     if total is None:
         return None
     return total * grid.coset_volume

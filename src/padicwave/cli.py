@@ -79,6 +79,24 @@ def _parse_number(text):
     return value
 
 
+def _exact_number(text):
+    """_parse_number's value, with a decimal read exactly: "0.1" is 1/10, not a float.
+
+    Reading 1eN exactly builds 10**|N|, so an exponent past BUILTIN_BITS is refused.
+    """
+    value = _parse_number(text)
+    if not isinstance(value, float):
+        return value
+    s = str(text).strip().replace("_", "")  # Fraction reads no underscores before Python 3.11
+    exponent = s.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(exponent) > len(str(BUILTIN_BITS)) or int(exponent or 0) > BUILTIN_BITS:
+        raise ConfigError(f"{text!r} has a decimal exponent past {BUILTIN_BITS}")
+    try:
+        return Fraction(s)
+    except ValueError as exc:  # more digits than an int may be read from
+        raise ConfigError(f"{text!r} is not a number") from exc
+
+
 def _integer(raw) -> int:
     """int(raw) for an integer, an integral float or an integer string.
 
@@ -363,7 +381,7 @@ def _time_labels(prob: WaveProblem, cfg: dict) -> list:
 def cmd_solve(cfg: dict, args: argparse.Namespace) -> int:
     prob = _build_problem(cfg)
     sweep = _time_labels(prob, cfg)
-    points = [tuple(map(_parse_number, text.split(","))) for text in cfg["profile_points"]]
+    points = [tuple(map(_exact_number, text.split(","))) for text in cfg["profile_points"]]
     for text, x in zip(cfg["profile_points"], points):
         if len(x) != prob.n:
             raise ConfigError(f"profile point {text!r} has {len(x)} coordinates, need {prob.n}")

@@ -7,9 +7,10 @@ B_ell^n, constant on cosets of B_{-M}^n, so the transform is one finite
 matrix-free double loop.
 
 When the input table is exact the whole sum is accumulated exactly, as
-integer phase indices with integer coefficients, and each output value is a
-Fraction whenever it is rational (a phases.PhaseSum otherwise); round trips
-on rational data are bit-exact.
+integer phase indices with integer coefficients: a phases.PhaseSum value
+enters with its own indices k mod q, and each output value is a Fraction
+whenever it is rational, otherwise a PhaseSum over the accumulated indices.
+Round trips on rational data are bit-exact.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from .lattice import enumerate_cosets
 from .padic import phase_to_complex
 from .phases import PhaseSum, rational_value
 
-_ZERO = Fraction(0)
-
 
 def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     """Coset sum of chi_p(sign * xi . x) f(x) on the swapped grid.
 
     With W = M + ell, a_j = x_j * p**M and b_j = xi_j * p**ell are integers,
     and the phase {xi . x}_p is (sum_j a_j * b_j mod p**W) / p**W.  Every
-    phase is carried as an integer index k mod Q (Q = p**W, or a finer power
-    of p when a PhaseSum value has finer phases), and the exact sums as
+    phase is carried as an integer index k mod Q (Q = p**W, or a PhaseSum
+    value's modulus q when that is finer), and the exact sums as
     integer coefficients over the lcm of the coefficients' denominators
     (a rational table's own ``den``).
     """
@@ -45,7 +44,7 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
     out_b = out_grid.digits
     out_values = []
     if f.kind == COMPLEX:
-        roots = [phase_to_complex(Fraction(k, width_q)) for k in range(width_q)]
+        roots = [phase_to_complex(k / width_q) for k in range(width_q)]
         inputs = [(tuple(sign * aj for aj in a), c) for a, c in zip(in_a, f.cells)]
         fvol = float(vol)
         for b in out_b:
@@ -54,25 +53,22 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
                 acc_c += c * roots[sum(map(mul, a, b)) % width_q]
             out_values.append(acc_c * fvol)
         return CosetFunction(out_grid, out_values)
-    # each nonzero input as its phase terms, a rational one as one term of
-    # phase 0; a zero input adds no term
+    # each nonzero input as its modulus and coefficients, a rational one as
+    # q = 1, {0: v}; a zero input adds no term
     inputs = [
-        (a, v.terms if isinstance(v, PhaseSum) else {_ZERO: v})
+        (a, (v.q, v.coeffs) if isinstance(v, PhaseSum) else (1, {0: v}))
         for a, v in zip(in_a, f.values)
         if v != 0
     ]
-    big_q = max([width_q] + [q.denominator for _, t in inputs for q in t])
-    den = math.lcm(*(c.denominator for _, t in inputs for c in t.values()))
+    big_q = max([width_q] + [q for _, (q, _) in inputs])
+    den = math.lcm(*(c.denominator for _, (_, t) in inputs for c in t.values()))
     lift = big_q // width_q
     terms = [
         (
             tuple(sign * lift * aj for aj in a),
-            [
-                (q.numerator * (big_q // q.denominator), c.numerator * (den // c.denominator))
-                for q, c in t.items()
-            ],
+            [(k * (big_q // q), c.numerator * (den // c.denominator)) for k, c in t.items()],
         )
-        for a, t in inputs
+        for a, (q, t) in inputs
     ]
     for b in out_b:
         acc: dict[int, int] = {}
@@ -85,9 +81,9 @@ def _transform(f: CosetFunction, sign: int) -> CosetFunction:
         if r is not None:
             out_values.append(Fraction(r, den) * vol)
         else:
-            out_values.append(PhaseSum(
-                p, {Fraction(k, big_q): Fraction(c, den) * vol for k, c in acc.items()}
-            ))
+            out_values.append(
+                PhaseSum(p, big_q, {k: Fraction(c, den) * vol for k, c in acc.items()})
+            )
     return CosetFunction(out_grid, out_values)
 
 

@@ -534,7 +534,7 @@ def ball_indicator(
 def _value_to_json(v):
     if not isinstance(v, (Fraction, complex)):  # a transform's PhaseSum, exact when rational
         r = v.as_rational()
-        v = complex(v) if r is None else r
+        v = complex(v) if r is None else Fraction(r)
     if isinstance(v, Fraction):
         return {"re": str(v), "im": "0"}
     return {"re": v.real, "im": v.imag}

@@ -86,8 +86,11 @@ class PrimeContext:
         return hash(self.p)
 
 
-def phase_to_complex(phase: Fraction) -> complex:
-    """exp(2*pi*i*phase) with a couple of exact special cases."""
+def phase_to_complex(phase: Fraction | float) -> complex:
+    """exp(2*pi*i*phase) with a couple of exact special cases.
+
+    A phase k/q may come as the float k / q, which is float(Fraction(k, q)).
+    """
     if phase == 0:
         return complex(1.0, 0.0)
     if 2 * phase == 1:

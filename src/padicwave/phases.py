@@ -1,11 +1,11 @@
 """Exact accumulation of character sums.
 
-A finite sum of terms c * exp(2*pi*i*q), with rational coefficients c and
-phases q whose denominators are powers of one prime p, lives in a cyclotomic
-field.  PhaseSum stores the terms exactly and can decide - exactly - whether
-the sum is rational (and what rational it is).  This is what lets integrals
-of characters over coset grids be checked by brute force with no floating
-point in the loop.
+A finite sum of terms c * exp(2*pi*i*k/q), with rational coefficients c,
+integer indices k mod q and q a power of one prime p, lives in a cyclotomic
+field.  PhaseSum(p, q, coeffs) stores it as the map k -> c and can decide -
+exactly - whether the sum is rational (and what rational it is).  This is
+what lets integrals of characters over coset grids be checked by brute force
+with no floating point in the loop.
 
 The rationality test walks down the tower Q(zeta_{p^m}) > Q(zeta_{p^{m-1}})
 > ... > Q.  For m >= 2 the powers zeta^r, r = 0..p-1, form a basis over the
@@ -25,41 +25,39 @@ _ZERO = Fraction(0)
 
 
 class PhaseSum:
-    """Immutable sum of c * exp(2*pi*i*q) terms with p-power phases."""
+    """Immutable sum of coeffs[k] * exp(2*pi*i*k/q), q a power of p, k in range(q)."""
 
-    __slots__ = ("p", "terms")
+    __slots__ = ("p", "q", "coeffs")
 
-    def __init__(self, p: int, terms: dict[Fraction, Fraction] | None = None):
-        self.p = p
-        clean: dict[Fraction, Fraction] = {}
-        if terms:
-            for phase, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                phase = phase % 1
-                _check_phase(phase, p)
-                clean[phase] = clean.get(phase, _ZERO) + coeff
-                if clean[phase] == 0:
-                    del clean[phase]
-        self.terms = clean
+    def __init__(self, p: int, q: int, coeffs: dict[int, Fraction] | None = None):
+        m = q
+        while m > 1 and p > 1 and m % p == 0:
+            m //= p
+        if m != 1:
+            raise ConfigError(f"phase modulus {q} is not a power of {p}")
+        self.p, self.q = p, q
+        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
 
     def __add__(self, other: "PhaseSum") -> "PhaseSum":
         if self.p != other.p:
             raise ConfigError("cannot mix primes in one phase sum")
-        merged = dict(self.terms)
-        for phase, coeff in other.terms.items():
-            merged[phase] = merged.get(phase, _ZERO) + coeff
-        return PhaseSum(self.p, merged)
+        q = max(self.q, other.q)
+        lift = q // self.q
+        merged = {k * lift: c for k, c in self.coeffs.items()}
+        lift = q // other.q
+        for k, c in other.coeffs.items():
+            k *= lift
+            merged[k] = merged.get(k, _ZERO) + c
+        return PhaseSum(self.p, q, merged)
 
     def scaled(self, c) -> "PhaseSum":
         c = Fraction(c)
-        if c == 0:
-            return PhaseSum(self.p)
-        return PhaseSum(self.p, {q: v * c for q, v in self.terms.items()})
+        return PhaseSum(self.p, self.q, {k: v * c for k, v in self.coeffs.items()})
 
     def to_complex(self) -> complex:
+        q = self.q
         return sum(
-            (float(c) * phase_to_complex(q) for q, c in self.terms.items()),
+            (float(c) * phase_to_complex(k / q) for k, c in self.coeffs.items()),
             complex(0.0),
         )
 
@@ -67,22 +65,11 @@ class PhaseSum:
 
     def as_rational(self) -> Fraction | None:
         """The exact rational value of the sum, or None if it is irrational."""
-        if not self.terms:
-            return _ZERO
-        m = max(_p_power_exponent(q.denominator, self.p) for q in self.terms)
-        if m == 0:
-            return self.terms.get(_ZERO, _ZERO)
-        big_q = self.p**m
-        coeffs = {q.numerator * (big_q // q.denominator): c for q, c in self.terms.items()}
-        return rational_value(coeffs, big_q, self.p)
-
-    def is_zero(self) -> bool:
-        return self.as_rational() == 0
+        return rational_value(self.coeffs, self.q, self.p)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PhaseSum):
-            diff = self + other.scaled(-1)
-            return diff.is_zero()
+            return (self + other.scaled(-1)).as_rational() == 0
         if isinstance(other, (int, Fraction)):
             return self.as_rational() == other
         return NotImplemented
@@ -91,22 +78,8 @@ class PhaseSum:
         raise TypeError("PhaseSum is unhashable")
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c}*e({q})" for q, c in sorted(self.terms.items()))
+        body = " + ".join(f"{c}*e({k}/{self.q})" for k, c in sorted(self.coeffs.items()))
         return f"PhaseSum(p={self.p}, {body or '0'})"
-
-
-def _check_phase(phase: Fraction, p: int) -> None:
-    den = phase.denominator
-    if p ** _p_power_exponent(den, p) != den:
-        raise ConfigError(f"phase {phase} is not over a power of {p}")
-
-
-def _p_power_exponent(den: int, p: int) -> int:
-    m = 0
-    while den % p == 0:
-        den //= p
-        m += 1
-    return m
 
 
 def rational_value(coeffs: dict, big_q: int, p: int):

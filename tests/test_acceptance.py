@@ -126,7 +126,9 @@ def _reference_ball_sum_1d(ctx, gamma, xi):
     for (rep,) in grid.representatives:
         ph = rational_fractional_part(xi * rep, ctx.p)
         acc[ph] = acc.get(ph, Fraction(0)) + 1
-    total = PhaseSum(ctx.p, acc).as_rational()
+    q = max(ph.denominator for ph in acc)  # one index mod q per Fraction phase
+    total = PhaseSum(ctx.p, q, {ph.numerator * (q // ph.denominator): c for ph, c in acc.items()})
+    total = total.as_rational()
     return None if total is None else total * grid.coset_volume
 
 

@@ -89,6 +89,19 @@ def test_solve_explicit_sweep_and_profile(tmp_path):
     assert any(r["kind"] == "shell" for r in rows)
 
 
+def test_a_decimal_profile_point_is_read_exactly(tmp_path):
+    # 0.1 as a float is 3602879701896397/2**55, a 5-adic unit, not 1/10
+    written = []
+    for point in ("1/10", "0.1", " 1e-1 "):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 5, "u0_spec": "eigen 0 1", "profile_points": [point]}))
+        out = tmp_path / f"run{len(written)}"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        written.append((out / "profile_0.csv").read_text())
+    assert written[0] == written[1] == written[2]
+    assert "core,,-0.20000000000000001,0,-1,5\n" in written[0]
+
+
 def test_kernel_table_all_rows_agree(tmp_path, capsys):
     out = tmp_path / "kernel.csv"
     code = cli.main(
@@ -403,6 +416,8 @@ def _broken_table(path: Path, edit: str) -> Path:
         ({"profile_points": ["nan"]}, []),
         ({"profile_points": ["1,2"]}, []),
         ({"profile_points": ["1/0"]}, []),
+        ({"profile_points": ["1e-99999999"]}, []),
+        ({"profile_points": ["1e" + "0" * 5000]}, []),
         ({"alpha": "inf"}, []),
         ({"p": 2.5}, []),
         ({"n": True}, []),
@@ -442,7 +457,8 @@ def _broken_table(path: Path, edit: str) -> Path:
         "p", "alpha", "sweep", "n", "sweep-flag", "table-entry",
         "table-digit", "table-digit-count", "table-coordinates", "table-duplicate",
         "table-infinity", "table-nan", "table-bool",
-        "profile-overflow", "profile-nan", "profile-length", "profile-zero-division", "alpha-inf", "p-fractional", "n-bool",
+        "profile-overflow", "profile-nan", "profile-length", "profile-zero-division",
+        "profile-exponent-huge", "profile-digits-past-int-limit", "alpha-inf", "p-fractional", "n-bool",
         "p-overflow", "n-overflow", "K-overflow", "seed-overflow", "sweep-overflow",
         "table-directory", "table-not-json",
         "alpha-overflow", "beta-overflow", "sphere-indicator-huge", "sphere-indicator-tiny",

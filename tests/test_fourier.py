@@ -161,6 +161,11 @@ def test_transform_requires_matching_space():
         add(f, ball_indicator(PrimeContext(3), 1, 0))
 
 
+def _phase_terms(v: PhaseSum) -> list:
+    """The terms in their stored order, each as (Fraction phase mod 1, coefficient)."""
+    return [(Fraction(k, v.q), c) for k, c in v.coeffs.items()]
+
+
 def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:
     """The transform with one Fraction phase {xi . x}_p per coset pair."""
     p = f.ctx.p
@@ -185,11 +190,13 @@ def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:
                 if val == 0:
                     continue
                 ph = phase(xi, x)
-                terms = val.terms if isinstance(val, PhaseSum) else {Fraction(0): val}
-                for q, c in terms.items():
-                    key = (q + ph) % 1
+                terms = _phase_terms(val) if isinstance(val, PhaseSum) else [(Fraction(0), val)]
+                for t, c in terms:
+                    key = (t + ph) % 1
                     acc[key] = acc.get(key, Fraction(0)) + c
-            total = PhaseSum(p, acc).scaled(vol)
+            q = max((ph.denominator for ph in acc), default=1)
+            total = PhaseSum(p, q, {ph.numerator * (q // ph.denominator): c for ph, c in acc.items()})
+            total = total.scaled(vol)
             rational = total.as_rational()
             out_values.append(total if rational is None else rational)
         else:
@@ -201,8 +208,8 @@ def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:
 
 
 def _transform_cases(p: int, n: int):
-    """Rational, PhaseSum (grid and finer phases) and complex tables on every
-    grid with M, ell in [-2, 2] and at most 64 cosets."""
+    """Rational, PhaseSum (grid, finer and mixed moduli) and complex tables on
+    every grid with M, ell in [-2, 2] and at most 64 cosets."""
     rng = random.Random(p * 10 + n)
     for M in range(-2, 3):
         for ell in range(-2, 3):
@@ -215,8 +222,8 @@ def _transform_cases(p: int, n: int):
                 if rng.random() < 0.3:
                     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 q = p ** (width + extra)
-                return PhaseSum(p, {
-                    Fraction(rng.randrange(q), q): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                return PhaseSum(p, q, {
+                    rng.randrange(q): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                     for _ in range(rng.randint(1, 3))
                 })
 
@@ -225,6 +232,7 @@ def _transform_cases(p: int, n: int):
             )
             yield CosetFunction(grid, [value(0) for _ in range(len(grid))])
             yield CosetFunction(grid, [value(2) for _ in range(len(grid))])
+            yield CosetFunction(grid, [value(rng.randrange(3)) for _ in range(len(grid))])
             yield CosetFunction(
                 grid, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(len(grid))]
             )
@@ -241,6 +249,6 @@ def test_transform_matches_the_fraction_phase_reference(p, n):
             for g, w in zip(got.values, want.values):
                 assert type(g) is type(w)
                 if isinstance(w, PhaseSum):
-                    assert list(g.terms.items()) == list(w.terms.items())
+                    assert _phase_terms(g) == _phase_terms(w)
                 else:
                     assert g == w

@@ -270,6 +270,25 @@ def test_a_transform_with_irrational_values_saves_and_loads_as_complex(tmp_path)
     assert back.cells == tuple(map(complex, f_hat.values))
 
 
+def test_an_exact_entry_with_an_imaginary_part_loads_as_complex():
+    f = _rng_table(4, PrimeContext(3), 1, 1, 1)
+    doc = to_json_dict(f)
+    doc["values"][1].update(re="1/2", im="1/3")
+    g = from_json_dict(doc)
+    assert g.kind == COMPLEX
+    assert g.values[1] == complex(0.5, 1 / 3)
+    assert g.values[0] == complex(f.values[0])
+
+
+def test_a_rational_phase_sum_saves_as_an_exact_string():
+    from padicwave.phases import PhaseSum
+
+    # 2 + zeta_3 + zeta_3^2 = 1, from int coefficients
+    s = PhaseSum(3, 3, {0: 2, 1: 1, 2: 1})
+    f = CosetFunction(enumerate_cosets(PrimeContext(3), 0, 1, 1), [s, 0, 0])
+    assert to_json_dict(f)["values"][0] == {"re": "1", "im": "0", "digits": [[0]]}
+
+
 def test_loader_names_a_coset_listed_twice():
     doc = to_json_dict(_rng_table(4, PrimeContext(3), 1, 1, 1))
     doc["values"][1]["digits"] = doc["values"][0]["digits"]
@@ -328,7 +347,7 @@ def test_each_table_has_one_value_kind_fixed_when_built():
     h = CosetFunction(grid, [1, Fraction(1, 2), 0.25, 0])
     assert h.kind == "complex" and h.values == (1 + 0j, 0.5 + 0j, 0.25 + 0j, 0j)
     assert all(type(v) is complex for v in h.values)
-    s = PhaseSum(2, {Fraction(1, 4): Fraction(1)})
+    s = PhaseSum(2, 4, {1: Fraction(1)})
     assert CosetFunction(grid, [s, 1, 0, 0]).kind == "phase"
     assert CosetFunction(grid, [s, 1.0, 0, 0]).kind == "complex"
     r = RadialShellFunction(PrimeContext(2), 1, (Fraction(1, 2), 0.5), 0)

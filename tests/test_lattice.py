@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from padicwave.errors import ConfigError, GridCapError
 from padicwave.lattice import (
+    as_fraction_vector,
     ball_character_integral,
     ball_volume,
     enumerate_cosets,
@@ -58,6 +59,15 @@ def test_volumes_and_character_integrals_refuse_dimension_below_one(n):
             call()
 
 
+def test_a_point_must_have_n_coordinates():
+    assert as_fraction_vector("1/2", 1) == (Fraction(1, 2),)
+    assert as_fraction_vector([1, "1/3"], 2) == (Fraction(1), Fraction(1, 3))
+    with pytest.raises(ConfigError, match="expected an 2-vector, got a scalar"):
+        as_fraction_vector(Fraction(1, 2), 2)
+    with pytest.raises(ConfigError, match="expected an 3-vector, got 2 coordinates"):
+        as_fraction_vector((1, 2), 3)
+
+
 def _brute_ball_sum(ctx, gamma, xi):
     """Exact direct sum over cosets fine enough for the character."""
     e = vector_norm_exponent((xi,), ctx.p)
@@ -67,7 +77,9 @@ def _brute_ball_sum(ctx, gamma, xi):
     for (rep,) in grid.representatives:
         ph = rational_fractional_part(xi * rep, ctx.p)
         acc[ph] = acc.get(ph, Fraction(0)) + 1
-    total = PhaseSum(ctx.p, acc).as_rational()
+    q = max(ph.denominator for ph in acc)  # one index mod q per Fraction phase
+    total = PhaseSum(ctx.p, q, {ph.numerator * (q // ph.denominator): c for ph, c in acc.items()})
+    total = total.as_rational()
     assert total is not None
     return total * grid.coset_volume
 

@@ -57,6 +57,9 @@ def test_canonical_digits_values():
     assert canonical_digits(Fraction(3, 4), 2, PrimeContext(2)) == (-2, [1, 1])
     assert canonical_digits(Fraction(5, 9), 2, PrimeContext(3)) == (-2, [2, 1])
     assert canonical_digits(Fraction(1, 2), 3, PrimeContext(5)) == (0, [3, 2, 2])
+    for count in (0, -1):
+        with pytest.raises(ConfigError, match=f"count must be positive, got {count}"):
+            canonical_digits(Fraction(1, 2), count, PrimeContext(5))
 
 
 @given(rationals, primes, st.integers(min_value=1, max_value=6))
