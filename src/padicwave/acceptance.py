@@ -44,7 +44,7 @@ from .lattice import (
     sphere_character_integral,
     vector_norm_exponent,
 )
-from .padic import NEG_INF, PrimeContext, rational_fractional_part
+from .padic import NEG_INF, PrimeContext, fractional_part
 from .solver import (
     DUALITY_TOL,
     EIGEN_TOL,
@@ -125,9 +125,9 @@ def _ball_sum_1d(ctx: PrimeContext, gamma: int, xi: Fraction):
     from .phases import rational_value
 
     p = ctx.p
-    e = vector_norm_exponent((xi,), p)
+    e = vector_norm_exponent((xi,), ctx)
     ell = max(-gamma, 0 if e == NEG_INF else int(e))
-    step = rational_fractional_part(xi * Fraction(p) ** -gamma, p)
+    step = fractional_part(xi * Fraction(p) ** -gamma, ctx)
     big_q, s = step.denominator, step.numerator
     acc: dict[int, int] = {}
     for a in range(p ** (gamma + ell)):
@@ -162,14 +162,14 @@ def _ball_sum_direct(ctx: PrimeContext, n: int, gamma: int, xi_vec):
     """Fully naive n-dim sum (no factorization); small cases only."""
     from .phases import PhaseSum
 
-    e = vector_norm_exponent(tuple(xi_vec), ctx.p)
+    e = vector_norm_exponent(tuple(xi_vec), ctx)
     ell = max(-gamma, 0 if e == NEG_INF else int(e))
     grid = enumerate_cosets(ctx, gamma, ell, n)
     acc: dict[Fraction, Fraction] = {}
     for rep in grid.representatives:
         ph = Fraction(0)
         for c, r in zip(xi_vec, rep):
-            ph = (ph + rational_fractional_part(c * r, ctx.p)) % 1
+            ph = (ph + fractional_part(c * r, ctx)) % 1
         acc[ph] = acc.get(ph, Fraction(0)) + 1
     q = max(ph.denominator for ph in acc)  # the phases' denominators are powers of p
     total = PhaseSum(ctx.p, q, {ph.numerator * (q // ph.denominator): c for ph, c in acc.items()})

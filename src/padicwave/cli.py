@@ -261,6 +261,16 @@ def _build_u0(cfg: dict, ctx: PrimeContext) -> CosetFunction:
     return f
 
 
+def _shown(x) -> str:
+    """A size in an error message: in full up to 15 digits, in .3g form above."""
+    return f"{x:.0f}" if x < 10**15 else f"{float(x):.3g}"
+
+
+def _about(x) -> str:
+    """'about' a size estimate, or 'over 10**308' past the float range."""
+    return f"about {_shown(x)}" if x < 10**308 else "over 10**308"
+
+
 def _refuse_large_eigen_datum(what: str, p: int, n: int, KN: int, C, order=0) -> None:
     """Refuse, before it is built, an eigen datum of exponent N (KN = K*N)
     whose numbers, or whose image under an operator of the given order,
@@ -282,7 +292,7 @@ def _refuse_large_eigen_datum(what: str, p: int, n: int, KN: int, C, order=0) ->
         bits = math.inf
     if bits > BUILTIN_BITS:
         raise ConfigError(
-            f"{what} needs numbers of about {bits:.0f} bits, "
+            f"{what} needs numbers of {_about(bits)} bits, "
             f"above the {BUILTIN_BITS} bits a float can hold"
         )
 
@@ -373,8 +383,8 @@ def _time_labels(prob: WaveProblem, cfg: dict) -> list:
             f"digits, past the {BUILTIN_BITS} bits a float can hold")
     count = auto.stop - auto.start  # len() of a range holds only a machine-size count
     if sweep is auto and count > grid_cap():
-        raise GridCapError(f"the auto time sweep would hold K*(N_max - N_min) + 4 = {count} "
-                           f"labels, above the cap {grid_cap()}")
+        raise GridCapError(f"the auto time sweep would hold K*(N_max - N_min) + 4 = "
+                           f"{_shown(count)} labels, above the cap {grid_cap()}")
     return list(sweep)
 
 
@@ -446,9 +456,8 @@ def _refuse_large_kernel_values(p: int, n: int, K: int, args: argparse.Namespace
     except OverflowError:  # n past the float range
         digits = math.inf
     if limit and digits > limit:
-        shown = f"{digits:.0f}" if digits < math.inf else "over 10**308"
         raise ConfigError(
-            f"kernel values would have about {shown} decimal digits, "
+            f"kernel values would have {_about(digits)} decimal digits, "
             f"above the {limit} that Python converts an int to text with"
         )
 

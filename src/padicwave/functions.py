@@ -252,7 +252,7 @@ def scale(f: CosetFunction, c) -> CosetFunction:
 def translate(f: CosetFunction, a) -> CosetFunction:
     """The shifted function x -> f(x - a)."""
     vec = as_fraction_vector(a, f.n)
-    e = vector_norm_exponent(vec, f.ctx.p)
+    e = vector_norm_exponent(vec, f.ctx)
     M = f.support_exp if e == NEG_INF else max(f.support_exp, int(e))
     grid = enumerate_cosets(f.ctx, M, f.resolution_exp, f.n)
     values = [

@@ -2,7 +2,9 @@
 
 Haar measure is normalized so the unit ball has volume 1.  Balls B_gamma
 (|x|_p <= p**gamma) and spheres S_gamma (|x|_p = p**gamma) are centered at
-the origin and use the max norm across coordinates.
+the origin and use the max norm across coordinates.  Each coordinate's
+norm comes from ``padic.valuation(x, ctx)``, the one form of the valuation,
+so ``vector_norm_exponent(vec, ctx)`` takes a PrimeContext.
 
 A coset grid with support exponent M and resolution exponent ell covers
 B_M^n by cosets of B_{-ell}^n.  Its representatives are the points whose
@@ -19,7 +21,7 @@ import os
 from fractions import Fraction
 
 from .errors import ConfigError, GridCapError
-from .padic import NEG_INF, PrimeContext, rational_valuation
+from .padic import NEG_INF, PrimeContext, valuation
 
 DEFAULT_GRID_CAP = 10**6
 GRID_CAP_ENV = "PADICWAVE_GRID_CAP"
@@ -50,11 +52,11 @@ def as_fraction_vector(x, n: int) -> tuple[Fraction, ...]:
     return coords
 
 
-def vector_norm_exponent(vec: tuple[Fraction, ...], p: int):
+def vector_norm_exponent(vec: tuple[Fraction, ...], ctx: PrimeContext):
     """e with max_j |x_j|_p = p**e; -inf for the zero vector."""
     best = NEG_INF
     for q in vec:
-        v = rational_valuation(q, p)
+        v = valuation(q, ctx)
         if -v > best:  # v = +inf for a zero coordinate never wins
             best = -v
     return best
@@ -195,7 +197,7 @@ def ball_character_integral(ctx: PrimeContext, n: int, radius_exp: int, xi) -> F
     the ball, i.e. |xi|_p <= p**-gamma.
     """
     _require_dimension(n)
-    e = vector_norm_exponent(as_fraction_vector(xi, n), ctx.p)
+    e = vector_norm_exponent(as_fraction_vector(xi, n), ctx)
     return ball_volume(ctx, n, radius_exp) if e <= -radius_exp else Fraction(0)
 
 
@@ -206,7 +208,7 @@ def sphere_character_integral(ctx: PrimeContext, n: int, radius_exp: int, xi) ->
     a single negative value one shell further out, and 0 beyond.
     """
     _require_dimension(n)
-    e = vector_norm_exponent(as_fraction_vector(xi, n), ctx.p)
+    e = vector_norm_exponent(as_fraction_vector(xi, n), ctx)
     if e <= -radius_exp:
         return sphere_volume(ctx, n, radius_exp)
     if e == 1 - radius_exp:

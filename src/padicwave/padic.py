@@ -2,8 +2,8 @@
 
 A rational number x != 0 factors uniquely as p**v * (a/b) with p dividing
 neither a nor b; v is the valuation and |x|_p = p**-v the norm.  Everything
-here works on exact ``fractions.Fraction`` values; a function that takes a
-scalar x with a PrimeContext also accepts an int or a str for x.  A norm
+here works on exact ``fractions.Fraction`` values.  Each primitive has one
+form, a function of (x, ctx); it also accepts an int or a str for x.  A norm
 is a float only where a caller asks for one, as ``float(norm_exact(x, ctx))``;
 all control flow inside the package is driven by integer valuations.
 """
@@ -98,8 +98,9 @@ def phase_to_complex(phase: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * float(phase))
 
 
-def rational_valuation(q: Fraction, p: int):
-    """Valuation of a bare Fraction; INF for zero."""
+def valuation(x, ctx: PrimeContext):
+    """Exponent of p in x: valuation(p**k * a/b) = k.  valuation(0) = +inf."""
+    q, p = Fraction(x), ctx.p
     if q == 0:
         return INF
     v = 0
@@ -112,11 +113,6 @@ def rational_valuation(q: Fraction, p: int):
         den //= p
         v -= 1
     return v
-
-
-def valuation(x, ctx: PrimeContext):
-    """Exponent of p in x: valuation(p**k * a/b) = k.  valuation(0) = +inf."""
-    return rational_valuation(Fraction(x), ctx.p)
 
 
 def norm_exact(x, ctx: PrimeContext) -> Fraction:
@@ -141,7 +137,7 @@ def canonical_digits(x, count: int, ctx: PrimeContext):
         raise ConfigError("the zero scalar has no canonical digit expansion")
     if count < 1:
         raise ConfigError(f"count must be positive, got {count}")
-    v = rational_valuation(q, p)
+    v = valuation(q, ctx)
     unit = q / Fraction(p) ** v  # p divides neither side of this fraction
     modulus = p**count
     residue = unit.numerator * pow(unit.denominator, -1, modulus) % modulus
@@ -152,27 +148,6 @@ def canonical_digits(x, count: int, ctx: PrimeContext):
     return v, digits
 
 
-def rational_fractional_part(q: Fraction, p: int) -> Fraction:
-    """Fractional part of a bare Fraction (see fractional_part)."""
-    if q == 0:
-        return Fraction(0)
-    den = q.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if k == 0:
-        return Fraction(0)
-    pk = p**k
-    # q = a / (p**k * den) with gcd(a, p*den) = 1
-    a = q.numerator
-    if den == 1:
-        residue = a % pk
-    else:
-        residue = a * pow(den, -1, pk) % pk
-    return Fraction(residue, pk)
-
-
 def fractional_part(x, ctx: PrimeContext) -> Fraction:
     """{x}_p: the sum of the terms of the canonical expansion with negative
     exponent, a rational in [0, 1) with denominator p**max(0, -valuation).
@@ -180,7 +155,13 @@ def fractional_part(x, ctx: PrimeContext) -> Fraction:
     x - {x}_p always has nonnegative valuation, and {x+y}_p differs from
     {x}_p + {y}_p by an integer.
     """
-    return rational_fractional_part(Fraction(x), ctx.p)
+    q, p = Fraction(x), ctx.p
+    den, pk = q.denominator, 1
+    while den % p == 0:
+        den //= p
+        pk *= p
+    # x = a / (pk * den) with gcd(a, p * den) = 1; pow(den, -1, 1) is 0
+    return Fraction(q.numerator * pow(den, -1, pk) % pk, pk)
 
 
 def character(x, ctx: PrimeContext):
@@ -190,5 +171,5 @@ def character(x, ctx: PrimeContext):
     [0, 1) whose denominator is a power of p; use it whenever downstream
     arithmetic wants to stay rational.
     """
-    phase = rational_fractional_part(Fraction(x), ctx.p)
+    phase = fractional_part(x, ctx)
     return phase_to_complex(phase), phase

@@ -54,14 +54,12 @@ class PhaseSum:
         c = Fraction(c)
         return PhaseSum(self.p, self.q, {k: v * c for k, v in self.coeffs.items()})
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         q = self.q
         return sum(
             (float(c) * phase_to_complex(k / q) for k, c in self.coeffs.items()),
             complex(0.0),
         )
-
-    __complex__ = to_complex
 
     def as_rational(self) -> Fraction | None:
         """The exact rational value of the sum, or None if it is irrational."""
@@ -73,9 +71,6 @@ class PhaseSum:
         if isinstance(other, (int, Fraction)):
             return self.as_rational() == other
         return NotImplemented
-
-    def __hash__(self):  # pragma: no cover - PhaseSum is not meant to be a key
-        raise TypeError("PhaseSum is unhashable")
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*e({k}/{self.q})" for k, c in sorted(self.coeffs.items()))

@@ -206,7 +206,7 @@ def apply_hypersingular(alpha, f: CosetFunction, x, background=Fraction(0)):
     denominator; anything else gives a complex number.
     """
     vec = as_fraction_vector(x, f.n)
-    e_x = vector_norm_exponent(vec, f.ctx.p)
+    e_x = vector_norm_exponent(vec, f.ctx)
     top = f.support_exp if e_x == NEG_INF else max(f.support_exp, int(e_x))
     grid, at, den = _hypersingular(alpha, f, background, top)
     v = at(grid.position(vec))

@@ -15,7 +15,7 @@ from padicwave import acceptance, fourier, solver, vladimirov
 from padicwave.errors import SpectralCompatibilityError
 from padicwave.functions import CosetFunction
 from padicwave.lattice import enumerate_cosets, vector_norm_exponent
-from padicwave.padic import NEG_INF, PrimeContext, rational_fractional_part
+from padicwave.padic import NEG_INF, PrimeContext, fractional_part
 from padicwave.phases import PhaseSum
 
 
@@ -119,12 +119,12 @@ def test_uniqueness_fails_on_any_nonzero_value(monkeypatch):
 
 def _reference_ball_sum_1d(ctx, gamma, xi):
     """The 1-dim coset sum with one Fraction phase {xi*x}_p per representative."""
-    e = vector_norm_exponent((xi,), ctx.p)
+    e = vector_norm_exponent((xi,), ctx)
     ell = max(-gamma, 0 if e == NEG_INF else int(e))
     grid = enumerate_cosets(ctx, gamma, ell, 1)
     acc = {}
     for (rep,) in grid.representatives:
-        ph = rational_fractional_part(xi * rep, ctx.p)
+        ph = fractional_part(xi * rep, ctx)
         acc[ph] = acc.get(ph, Fraction(0)) + 1
     q = max(ph.denominator for ph in acc)  # one index mod q per Fraction phase
     total = PhaseSum(ctx.p, q, {ph.numerator * (q // ph.denominator): c for ph, c in acc.items()})

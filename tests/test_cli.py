@@ -565,6 +565,51 @@ def test_kernel_table_default_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "kernel-table-default.csv").read_bytes()
 
 
+def test_kernel_table_out_naming_a_directory_writes_into_it(tmp_path):
+    assert cli.main(["kernel-table", "--out", str(tmp_path)]) == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["kernel-table.csv"]
+    written = (tmp_path / "kernel-table.csv").read_bytes()
+    assert written == (GOLDEN / "kernel-table-default.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (["eigen-check", "--alpha", "1e300"], 2, "about 1e+300 bits"),
+        # n past the float range, so the digit estimate overflows
+        (["kernel-table", "--n", "1" + "0" * 400], 2, "have over 10**308 decimal digits"),
+        (["solve", "--config", "cfg.json", "--K", str(10**200), "--out", "o"], 3,
+         "= 2e+200 labels"),
+    ],
+    ids=["eigen-check-alpha-huge", "kernel-table-n-past-float-range", "solve-K-huge"],
+)
+def test_size_refusals_print_readable_numbers(argv, code, shown, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    u0 = GOLDEN / "table-p3-n1-M2-ell1.json"
+    (tmp_path / "cfg.json").write_text(json.dumps({"p": 3, "n": 1, "u0_spec": str(u0)}))
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200, err
+    assert shown in err, err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("label", [10**244, -(10**243)], ids=["245-digits", "244-digits-negative"])
+def test_a_label_too_long_for_a_file_name_exits_2_before_writing(label, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["solve", f"--sweep={label}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "255 bytes" in err, err
+    assert not out.exists()
+
+
+def test_the_longest_label_a_file_name_holds_is_written(tmp_path):
+    label = -(10**243 - 1)  # slice_L<label>.csv is 255 bytes
+    assert cli.main(["solve", f"--sweep={label}", "--out", str(tmp_path)]) == 0
+    assert len(f"slice_L{label}.csv") == 255
+    assert (tmp_path / f"slice_L{label}.csv").is_file()
+
+
 # every kind of field the commands write: floats as _fmt_float renders them,
 # ints of up to the 4,300 digits Python converts to text, str(Fraction)
 # coordinates (never negative), the empty num/den of a complex value, and the

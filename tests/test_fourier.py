@@ -24,7 +24,7 @@ from padicwave.functions import (
     translate,
 )
 from padicwave.lattice import enumerate_cosets
-from padicwave.padic import PrimeContext, phase_to_complex, rational_fractional_part
+from padicwave.padic import PrimeContext, fractional_part, phase_to_complex
 from padicwave.phases import PhaseSum
 from padicwave.solver import eigenfunction
 
@@ -178,7 +178,7 @@ def _reference_transform(f: CosetFunction, sign: int) -> CosetFunction:
         total = Fraction(0)
         for u, v in zip(xi, x):
             if (u, v) not in cache:
-                cache[u, v] = rational_fractional_part(u * v, p)
+                cache[u, v] = fractional_part(u * v, f.ctx)
             total += cache[u, v]
         return (sign * total) % 1
 

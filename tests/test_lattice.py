@@ -15,7 +15,7 @@ from padicwave.lattice import (
     sphere_volume,
     vector_norm_exponent,
 )
-from padicwave.padic import NEG_INF, PrimeContext, rational_fractional_part, valuation
+from padicwave.padic import NEG_INF, PrimeContext, fractional_part, valuation
 from padicwave.phases import PhaseSum
 
 
@@ -70,12 +70,12 @@ def test_a_point_must_have_n_coordinates():
 
 def _brute_ball_sum(ctx, gamma, xi):
     """Exact direct sum over cosets fine enough for the character."""
-    e = vector_norm_exponent((xi,), ctx.p)
+    e = vector_norm_exponent((xi,), ctx)
     ell = max(-gamma, 0 if e == NEG_INF else int(e))
     grid = enumerate_cosets(ctx, gamma, ell, 1)
     acc = {}
     for (rep,) in grid.representatives:
-        ph = rational_fractional_part(xi * rep, ctx.p)
+        ph = fractional_part(xi * rep, ctx)
         acc[ph] = acc.get(ph, Fraction(0)) + 1
     q = max(ph.denominator for ph in acc)  # one index mod q per Fraction phase
     total = PhaseSum(ctx.p, q, {ph.numerator * (q // ph.denominator): c for ph, c in acc.items()})
@@ -211,8 +211,9 @@ def test_norm_exponents_are_the_norms_of_the_representatives():
                 for ell in range(-M, 3):
                     if p ** (n * (M + ell)) > 4000:
                         continue
-                    grid = enumerate_cosets(PrimeContext(p), M, ell, n)
-                    want = tuple(vector_norm_exponent(rep, p) for rep in grid.representatives)
+                    ctx = PrimeContext(p)
+                    grid = enumerate_cosets(ctx, M, ell, n)
+                    want = tuple(vector_norm_exponent(rep, ctx) for rep in grid.representatives)
                     assert grid.norm_exponents == want, (p, n, M, ell)
 
 
@@ -221,7 +222,7 @@ def test_sphere_representatives_have_the_stated_norm():
     reps = sphere_representatives(ctx, 1, 1, 1)
     assert len(reps) > 0
     for rep in reps:
-        assert vector_norm_exponent(rep, 3) == 1
+        assert vector_norm_exponent(rep, ctx) == 1
     # ball = disjoint union of spheres plus the origin coset
     grid = enumerate_cosets(ctx, 1, 1, 1)
     total = sum(len(sphere_representatives(ctx, g, 1, 1)) for g in (-1, 0, 1))

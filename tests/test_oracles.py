@@ -92,7 +92,7 @@ def reference_convolution(prob, L):
         for y, fy in items:
             if y == x:
                 continue
-            e = vector_norm_exponent(tuple(a - b for a, b in zip(x, y)), ctx.p)
+            e = vector_norm_exponent(tuple(a - b for a, b in zip(x, y)), ctx)
             w = k_at(int(e)) * coset_vol
             if w:
                 acc = _add(acc, _scale(fy, w))
@@ -119,7 +119,7 @@ def reference_hypersingular(alpha, f, x, background=Fraction(0)):
     p = ctx.p
     background = Fraction(background) if isinstance(background, int) else background
     vec = as_fraction_vector(x, n)
-    e_x = vector_norm_exponent(vec, p)
+    e_x = vector_norm_exponent(vec, ctx)
     gamma_top = f.support_exp if e_x == NEG_INF else max(f.support_exp, int(e_x))
     ell = f.resolution_exp
     values = f.values  # built on each read, so read once

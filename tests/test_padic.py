@@ -17,7 +17,6 @@ from padicwave.padic import (
     character,
     fractional_part,
     norm_exact,
-    rational_fractional_part,
     valuation,
 )
 
@@ -82,16 +81,20 @@ def test_fractional_part_values():
     assert fractional_part(Fraction(7), PrimeContext(3)) == 0
     assert fractional_part(Fraction(3, 4), PrimeContext(2)) == Fraction(3, 4)
     assert fractional_part(Fraction(5, 9), PrimeContext(3)) == Fraction(5, 9)
+    assert fractional_part(Fraction(0), PrimeContext(5)) == 0
+    # 5/12 = 5/(4*3): the residue of 5 * 3**-1 mod 4 is 3
+    assert fractional_part(Fraction(5, 12), PrimeContext(2)) == Fraction(3, 4)
 
 
 @given(rationals, primes)
 def test_fractional_part_splits_off_an_integer_part(x, p):
-    fp = rational_fractional_part(x, p)
+    ctx = PrimeContext(p)
+    fp = fractional_part(x, ctx)
     assert 0 <= fp < 1
     rest = x - fp
     if rest != 0:
         # what remains is a p-adic integer
-        assert valuation(rest, PrimeContext(p)) >= 0
+        assert valuation(rest, ctx) >= 0
 
 
 def test_character_values():

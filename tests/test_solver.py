@@ -369,7 +369,7 @@ def _transform_sweep(prob):
     exps = set()
     for rep, v, c in zip(u0_hat.grid.representatives, u0_hat.values, values):
         nonzero = v != 0 if exact else abs(c) > tol
-        e = vector_norm_exponent(rep, prob.ctx.p)
+        e = vector_norm_exponent(rep, prob.ctx)
         if nonzero and e != NEG_INF:
             exps.add(int(e))
     if not exps:

@@ -163,7 +163,7 @@ def test_duality_against_brute_multiplier():
         if not any(rep):
             rhs_values.append(Fraction(0))
             continue
-        w = power_of_p(ctx.p, alpha, vector_norm_exponent(rep, ctx.p))
+        w = power_of_p(ctx.p, alpha, vector_norm_exponent(rep, ctx))
         rhs_values.append(v.scaled(w) if isinstance(v, PhaseSum) else v * w)
     rhs = CosetFunction(fhat.grid, rhs_values)
     # phase sums built along two different routes: equal as numbers only
