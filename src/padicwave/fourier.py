@@ -100,13 +100,13 @@ def inverse(g: CosetFunction) -> CosetFunction:
 def multiply_radial(g: CosetFunction, weight) -> CosetFunction:
     """g times weight(e) on each coset of norm p**e (e = -inf at the origin).
 
-    This damps or weights a transform before it is inverted.  Exact weights
-    keep an exact table exact; float weights, or a complex table, give a
-    complex table.
+    This damps or weights a transform before it is inverted.  Exact (int or
+    Fraction) weights keep an exact table exact; float weights, or a complex
+    table, give a complex table.
     """
     norms = g.grid.norm_exponents
     w = {e: weight(e) for e in set(norms)}
-    if g.kind != COMPLEX and all(isinstance(x, Fraction) for x in w.values()):
+    if g.kind != COMPLEX and all(isinstance(x, (int, Fraction)) for x in w.values()):
         return CosetFunction(g.grid, [
             v.scaled(w[e]) if isinstance(v, PhaseSum) else v * w[e]
             for v, e in zip(g.values, norms)

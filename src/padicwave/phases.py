@@ -7,11 +7,12 @@ exactly - whether the sum is rational (and what rational it is).  This is
 what lets integrals of characters over coset grids be checked by brute force
 with no floating point in the loop.
 
-The rationality test walks down the tower Q(zeta_{p^m}) > Q(zeta_{p^{m-1}})
-> ... > Q.  For m >= 2 the powers zeta^r, r = 0..p-1, form a basis over the
-next field down, so the sum is rational iff every nonzero-residue component
-vanishes and the zero-residue component is rational one level down.  At the
-bottom (m = 1) the only relation is 1 + zeta + ... + zeta^{p-1} = 0.
+The rationality test is one pass.  As Phi_q(x) = Phi_p(x**(q/p))
+(Washington, Introduction to Cyclotomic Fields, ch. 2), the relations among
+the powers of zeta = exp(2*pi*i/q) are spanned by the sums over the fibres
+{b + t*q/p : 0 <= t < p}, so sum_a c_a zeta**a is the rational c_0 - s
+exactly when each fibre with b != 0 holds p equal coefficients or none, and
+fibre 0's indices t*q/p (0 < t < p) share one s (s = 0 if none is held).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _ZERO = Fraction(0)
 
 
 class PhaseSum:
-    """Immutable sum of coeffs[k] * exp(2*pi*i*k/q), q a power of p, k in range(q)."""
+    """Immutable sum of coeffs[k] * exp(2*pi*i*k/q), q a power of p, each int index k read mod q."""
 
     __slots__ = ("p", "q", "coeffs")
 
@@ -36,19 +37,27 @@ class PhaseSum:
         if m != 1:
             raise ConfigError(f"phase modulus {q} is not a power of {p}")
         self.p, self.q = p, q
-        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
+        merged: dict[int, Fraction] = {}
+        for k, c in (coeffs or {}).items():
+            if type(k) is not int:
+                raise ConfigError(f"phase index {k!r} is not an int")
+            k %= q
+            merged[k] = merged[k] + c if k in merged else c
+        self.coeffs = {k: c for k, c in merged.items() if c}
 
-    def __add__(self, other: "PhaseSum") -> "PhaseSum":
+    def _combined(self, other: "PhaseSum", sign: int) -> tuple[int, dict[int, Fraction]]:
+        """The finer modulus of the two, and the coefficients of self + sign * other on it."""
         if self.p != other.p:
             raise ConfigError("cannot mix primes in one phase sum")
         q = max(self.q, other.q)
-        lift = q // self.q
-        merged = {k * lift: c for k, c in self.coeffs.items()}
-        lift = q // other.q
+        merged = {k * (q // self.q): c for k, c in self.coeffs.items()}
         for k, c in other.coeffs.items():
-            k *= lift
-            merged[k] = merged.get(k, _ZERO) + c
-        return PhaseSum(self.p, q, merged)
+            k *= q // other.q
+            merged[k] = merged.get(k, _ZERO) + sign * c
+        return q, merged
+
+    def __add__(self, other: "PhaseSum") -> "PhaseSum":
+        return PhaseSum(self.p, *self._combined(other, 1))
 
     def scaled(self, c) -> "PhaseSum":
         c = Fraction(c)
@@ -67,7 +76,8 @@ class PhaseSum:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PhaseSum):
-            return (self + other.scaled(-1)).as_rational() == 0
+            q, diff = self._combined(other, -1)
+            return rational_value(diff, q, self.p) == 0
         if isinstance(other, (int, Fraction)):
             return self.as_rational() == other
         return NotImplemented
@@ -84,23 +94,15 @@ def rational_value(coeffs: dict, big_q: int, p: int):
     integers in [0, big_q).  The coefficients may be ints or Fractions;
     the value is exact, an int or a Fraction.
     """
-    if big_q == 1:
-        return coeffs.get(0, _ZERO)
-    if big_q == p:
-        common = None
-        for r in range(1, p):
-            c = coeffs.get(r, _ZERO)
-            if common is None:
-                common = c
-            elif c != common:
-                return None
-        common = common if common is not None else _ZERO
-        return coeffs.get(0, _ZERO) - common
-    smaller = big_q // p
-    parts: list[dict[int, Fraction]] = [{} for _ in range(p)]
+    step = big_q // p  # the fibre of a is its residue mod step
+    fibres: dict[int, list] = {}  # residue -> [its one coefficient, how many indices hold it]
     for a, c in coeffs.items():
-        parts[a % p][a // p] = c
-    for r in range(1, p):
-        if rational_value(parts[r], smaller, p) != 0:
-            return None
-    return rational_value(parts[0], smaller, p)
+        if c and a:
+            fibre = fibres.setdefault(a % step, [c, 0])
+            if fibre[0] != c:
+                return None
+            fibre[1] += 1
+    s, held = fibres.pop(0, (_ZERO, p - 1))
+    if held != p - 1 or any(n != p for _, n in fibres.values()):
+        return None
+    return coeffs.get(0, _ZERO) - s

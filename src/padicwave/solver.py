@@ -45,6 +45,7 @@ from .functions import (
     is_in_Phi,
     l1_norm,
     radial_inverse,
+    _over_common_den,
 )
 from .lattice import digit_valuations, sphere_volume
 from .padic import NEG_INF, PrimeContext, order_float
@@ -335,9 +336,7 @@ def solve_convolution(prob: WaveProblem, L) -> SolutionSlice:
     exact = f.kind == RATIONAL
     if exact:
         nums = f.cells
-        wden = math.lcm(diag_mass.denominator, *(w.denominator for w in weights))
-        ints = [w.numerator * (wden // w.denominator) for w in weights] + [0]
-        diag = diag_mass.numerator * (wden // diag_mass.denominator)
+        wden, (diag, *ints) = _over_common_den([diag_mass, *weights, Fraction(0)])
     else:
         cs = f.complex_values()
         floats = [float(w) if w else None for w in weights] + [None]

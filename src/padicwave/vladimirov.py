@@ -30,6 +30,7 @@ from .functions import (
     integrate,
     is_in_Phi,
     nan_max,
+    _over_common_den,
 )
 from .lattice import (
     as_fraction_vector,
@@ -159,11 +160,8 @@ def _hypersingular(alpha, f: CosetFunction, background, top: int):
 
     if rational and exact:
         # the weights times the prefactor, as integers over one denominator
-        shell_w = {g: w * pref for g, w in shell_w.items()}
-        tail_w = {G: w * pref for G, w in tail_w.items()}
-        wden = math.lcm(*(w.denominator for w in (*shell_w.values(), *tail_w.values())))
-        shell_n = {g: w.numerator * (wden // w.denominator) for g, w in shell_w.items()}
-        tail_n = {G: w.numerator * (wden // w.denominator) for G, w in tail_w.items()}
+        wden, nums = _over_common_den([w * pref for w in (*shell_w.values(), *tail_w.values())])
+        shell_n, tail_n = dict(zip(shell_w, nums)), dict(zip(tail_w, nums[len(shell_w):]))
 
         def at(i):
             ix, shells = terms(i, shell_n, tail_n)

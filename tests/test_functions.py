@@ -379,7 +379,8 @@ def _run_weights(rng, M: int, ell: int, pool) -> dict:
     return w
 
 
-WEIGHT_POOL = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(5, 3), Fraction(7))
+INT_WEIGHTS = (0, 1, -2)  # exact too, on both routes
+WEIGHT_POOL = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(5, 3), Fraction(7), *INT_WEIGHTS)
 
 
 @pytest.mark.parametrize("p, n, M, ell", list(_grid_shapes()))
@@ -390,11 +391,12 @@ def test_radial_weights_equal_the_fourier_route(p, n, M, ell):
     f = _rng_table(rng.randrange(10**6), PrimeContext(p), n, M, ell)
     g = CosetFunction(f.grid, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in f.cells])
     hats = {h: forward(h) for h in (f, g)}
-    for _ in range(3):
-        w = _run_weights(rng, M, ell, WEIGHT_POOL)
+    for pool in (WEIGHT_POOL, WEIGHT_POOL, INT_WEIGHTS):
+        w = _run_weights(rng, M, ell, pool)
         got = CosetAverages(f).radial(w.__getitem__)
-        assert got.kind == "rational"
-        assert got.values == inverse(multiply_radial(hats[f], w.__getitem__)).values
+        via = inverse(multiply_radial(hats[f], w.__getitem__))
+        assert got.kind == via.kind == "rational"
+        assert got.values == via.values
         # float weights, on a rational and on a complex table
         wf = {e: float(x) * 1.25 for e, x in w.items()}
         for h, h_hat in hats.items():
